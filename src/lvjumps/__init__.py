@@ -10,8 +10,6 @@ from .coefficients import (
     Const,
     PiecewiseConst,
     Sinusoid,
-    coeff_inf,
-    coeff_sup,
 )
 from .model import (
     InitialState,
@@ -30,7 +28,6 @@ from .noise import (
     derive_path_seed,
     load_path,
     merge_grid,
-    refine_path,
     sample_driving_path,
     save_path,
 )

@@ -21,9 +21,9 @@ import numpy as np
 from scipy import stats
 
 from .closedform import explicit_logistic_log
-from .coefficients import Const, coeff_sup
+from .coefficients import Const
 from .conditions import compute_regime_report
-from .errors import PrerequisiteError
+from .errors import ConfigurationError, PrerequisiteError
 from .integrate import Trajectory, format_float, simulate_system, simulate_upper
 from .model import ModelSpec, as_initial_state
 from .noise import derive_path_seed, sample_driving_path
@@ -62,12 +62,17 @@ class MCSeries:
     diverged_count: int = 0
 
     def __post_init__(self):
-        if np.any(self.std_error < 0):
-            raise ValueError("standard errors must be non-negative")
+        # a NaN standard error is allowed only where the mean is undefined too
+        # (``ln X / ln t`` at t <= 1); elsewhere it means a broken reduction
+        undefined = np.isnan(self.mean)
+        if np.any(self.std_error < 0) or np.any(np.isnan(self.std_error) & ~undefined):
+            raise ValueError("standard errors must be non-negative numbers")
 
 
 def default_checkpoints(T: float, h: float, count: int = 50) -> np.ndarray:
     """``count`` roughly uniform times snapped onto the step grid, ending at T."""
+    if count < 1:
+        raise ConfigurationError(f"need at least one checkpoint, got {count}")
     M = round(T / h)
     grid = np.linspace(0.0, T, M + 1)
     idx = np.unique(np.clip(np.round(np.arange(1, count + 1) * M / count), 1, M).astype(int))
@@ -95,6 +100,17 @@ def _series_from_samples(checkpoints, samples, diverged) -> MCSeries:
     )
 
 
+def _paths(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, offset: int = 0):
+    """The seeded driving paths ``offset, ..., offset + n_paths - 1`` in order.
+
+    Path ``j`` depends only on ``(seed, j)``, so a path's noise never depends
+    on how many paths run or on which estimator asks for it.
+    """
+    extra = tuple(b for b in model.pwc_breakpoints() if 0.0 < b < T)
+    for j in range(offset, offset + n_paths):
+        yield sample_driving_path(model.marks, T, h, derive_path_seed(seed, j), extra_times=extra)
+
+
 def estimate_moment(
     model: ModelSpec,
     x0,
@@ -115,13 +131,9 @@ def estimate_moment(
         raise ValueError("p must be >= 0")
     state = as_initial_state(x0, model.n)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    extra = model.pwc_breakpoints()
     samples = []
     diverged = 0
-    for j in range(n_paths):
-        path = sample_driving_path(
-            model.marks, T, h, derive_path_seed(seed, j), extra_times=_inside(extra, T)
-        )
+    for path in _paths(model, T, h, n_paths, seed):
         traj = simulate_system(model, state, path)
         if traj.diverged:
             diverged += 1
@@ -132,10 +144,6 @@ def estimate_moment(
     if not samples:
         raise PrerequisiteError("all paths diverged; nothing to estimate")
     return _series_from_samples(checkpoints, samples, diverged)
-
-
-def _inside(breaks, T):
-    return tuple(b for b in breaks if 0.0 < b < T)
 
 
 def lyapunov_functional(traj: Trajectory, model: ModelSpec) -> float:
@@ -179,21 +187,19 @@ def lyapunov_functional_mc(
 ) -> FunctionalMC:
     """Monte Carlo mean of the growth functional against ``max_i sup a_i``."""
     state = as_initial_state(x0, model.n)
-    extra = model.pwc_breakpoints()
     vals = []
     diverged = 0
-    for j in range(n_paths):
-        path = sample_driving_path(
-            model.marks, T, h, derive_path_seed(seed, j), extra_times=_inside(extra, T)
-        )
+    for path in _paths(model, T, h, n_paths, seed):
         traj = simulate_system(model, state, path)
         if traj.diverged:
             diverged += 1
             continue
         vals.append(lyapunov_functional(traj, model))
+    if not vals:
+        raise PrerequisiteError("all paths diverged; nothing to estimate")
     arr = np.asarray(vals)
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-    bound = max(coeff_sup(f) for f in model.a)
+    bound = max(f.supremum for f in model.a)
     return FunctionalMC(
         mean=float(arr.mean()),
         std_error=se,
@@ -248,13 +254,9 @@ def sample_lyapunov_mc(
 ) -> LyapunovMC:
     """Monte Carlo of the scalar upper solution's normalised log population."""
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    extra = model.pwc_breakpoints()
     over_t, over_log, finals = [], [], []
     diverged = 0
-    for j in range(n_paths):
-        path = sample_driving_path(
-            model.marks, T, h, derive_path_seed(seed, j), extra_times=_inside(extra, T)
-        )
+    for path in _paths(model, T, h, n_paths, seed):
         traj = simulate_upper(model, i, x0_i, path)
         if traj.diverged:
             diverged += 1
@@ -314,17 +316,13 @@ def inverse_moment_check(
     """
     c1 = _require_positive_margin(model, i)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    extra = model.pwc_breakpoints()
     samples = []
-    for j in range(n_paths):
-        path = sample_driving_path(
-            model.marks, T, h, derive_path_seed(seed, j), extra_times=_inside(extra, T)
-        )
+    for path in _paths(model, T, h, n_paths, seed):
         series = explicit_logistic_log(model, i, x0_i, path)
         slots = _checkpoint_slots(series.grid, checkpoints)
         samples.append(np.exp(-series.values[slots]))
     mc = _series_from_samples(checkpoints, samples, 0)
-    b_sup = coeff_sup(model.B[i][i])
+    b_sup = model.B[i][i].supremum
     bound = b_sup / c1 + (1.0 / x0_i - b_sup / c1) * np.exp(-c1 * checkpoints)
     ok = mc.mean - 3.0 * mc.std_error <= bound
     return BoundCheckResult(series=mc, bound=bound, ok=ok)
@@ -373,14 +371,10 @@ def coupling_contraction(
     """
     c1 = _require_positive_margin(model, i)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    extra = model.pwc_breakpoints()
     inv_samples, half_samples = [], []
     sign_ok = 0
     expected = 1.0 / x - 1.0 / y
-    for j in range(n_paths):
-        path = sample_driving_path(
-            model.marks, T, h, derive_path_seed(seed, j), extra_times=_inside(extra, T)
-        )
+    for path in _paths(model, T, h, n_paths, seed):
         lx = explicit_logistic_log(model, i, x, path)
         ly = explicit_logistic_log(model, i, y, path)
         inv_diff_all = np.exp(-lx.values) - np.exp(-ly.values)
@@ -417,16 +411,8 @@ def terminal_sample(
     stream_offset: int = 0,
 ) -> np.ndarray:
     """Terminal values ``Y_i(T)`` over ``n_paths`` independent paths."""
-    extra = model.pwc_breakpoints()
     out = np.empty(n_paths)
-    for j in range(n_paths):
-        path = sample_driving_path(
-            model.marks,
-            T,
-            h,
-            derive_path_seed(seed, stream_offset + j),
-            extra_times=_inside(extra, T),
-        )
+    for j, path in enumerate(_paths(model, T, h, n_paths, seed, stream_offset)):
         out[j] = math.exp(explicit_logistic_log(model, i, x0_i, path).final())
     return out
 

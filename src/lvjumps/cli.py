@@ -65,7 +65,10 @@ def _outdir(args) -> Path:
 
 
 def _load(args) -> ModelSpec:
-    return load_model(args.model)
+    try:
+        return load_model(args.model)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read the model file: {exc}") from exc
 
 
 def _x0_list(args, n) -> list[float]:

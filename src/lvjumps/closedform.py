@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientFn, coeff_inf
+from .coefficients import CoefficientFn
 from .errors import DomainError, GridMismatchError
 from .model import MarkSpace, ModelSpec, require_valid
 from .noise import KIND_LEFT, DrivingPath, MergedGrid, merge_grid
@@ -94,10 +94,10 @@ class LinearJumpSDE:
 
 def _check_H(H) -> None:
     for k, Hk in enumerate(H):
-        if coeff_inf(Hk) <= -1.0:
+        if Hk.infimum <= -1.0:
             raise DomainError(
                 f"multiplicative jump coefficient {k + 1} reaches "
-                f"{coeff_inf(Hk):g} <= -1"
+                f"{Hk.infimum:g} <= -1"
             )
 
 

@@ -30,8 +30,6 @@ __all__ = [
     "Sinusoid",
     "PiecewiseConst",
     "CoefficientFn",
-    "coeff_inf",
-    "coeff_sup",
     "coeff_from_payload",
     "coeff_to_payload",
 ]
@@ -231,16 +229,6 @@ class PiecewiseConst:
 
 
 CoefficientFn = Union[Const, Sinusoid, PiecewiseConst]
-
-
-def coeff_inf(f: CoefficientFn) -> float:
-    """Exact infimum of ``f`` over ``[0, inf)``."""
-    return f.infimum
-
-
-def coeff_sup(f: CoefficientFn) -> float:
-    """Exact supremum of ``f`` over ``[0, inf)``."""
-    return f.supremum
 
 
 # --- JSON codec --------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import Const, PiecewiseConst, Sinusoid, coeff_inf
+from .coefficients import Const, PiecewiseConst, Sinusoid
 from .model import ModelSpec, require_valid
 
 __all__ = [
@@ -362,7 +362,7 @@ def compute_regime_report(model: ModelSpec, p_list=(2.0,)) -> RegimeReport:
     species = []
     for i in range(n):
         if model.mark_count:
-            delta = ScalarBound(min(coeff_inf(g) for g in model.gamma[i]))
+            delta = ScalarBound(min(g.infimum for g in model.gamma[i]))
         else:
             delta = ScalarBound(math.inf)
         c1_terms = [

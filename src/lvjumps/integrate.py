@@ -81,24 +81,28 @@ class Trajectory:
         return np.sqrt(np.sum(self.values * self.values, axis=0))
 
 
-def _interval_data(model: ModelSpec, grid: MergedGrid, path: DrivingPath):
-    """Left-endpoint coefficient values per interval, plus jump factors."""
+def _tabulate(model: ModelSpec, grid: MergedGrid, path: DrivingPath, rows, cols):
+    """Left-endpoint coefficient values per interval, plus jump factors.
+
+    For species ``rows`` this returns ``a`` and ``sigma`` with shape
+    (intervals, rows), the Ito-plus-compensator correction
+    ``sigma^2/2 + sum_k w_k gamma_k`` of the same shape, the interactions
+    ``B[row][col]`` with shape (intervals, rows, cols), and per jump the list of
+    factors ``1 + gamma_row(tau)``.
+    """
     t_left = grid.times[:-1]
-    n, K = model.n, model.mark_count
-    weights = np.asarray(model.marks.weights, dtype=float)
-    a_vals = np.stack([np.asarray(f(t_left), dtype=float) for f in model.a], axis=1)
-    sig_vals = np.stack([np.asarray(f(t_left), dtype=float) for f in model.sigma], axis=1)
+    weights = model.marks.weights
+    a_vals = np.stack([np.asarray(model.a[i](t_left), dtype=float) for i in rows], axis=1)
+    sig_vals = np.stack([np.asarray(model.sigma[i](t_left), dtype=float) for i in rows], axis=1)
     corr = 0.5 * sig_vals**2
-    if K:
-        for i in range(n):
-            for k in range(K):
-                corr[:, i] += weights[k] * np.asarray(model.gamma[i][k](t_left), dtype=float)
-    B_vals = np.empty((len(t_left), n, n))
-    for i in range(n):
-        for j in range(n):
-            B_vals[:, i, j] = model.B[i][j](t_left)
+    B_vals = np.empty((len(t_left), len(rows), len(cols)))
+    for r, i in enumerate(rows):
+        for k in range(model.mark_count):
+            corr[:, r] += weights[k] * np.asarray(model.gamma[i][k](t_left), dtype=float)
+        for c, j in enumerate(cols):
+            B_vals[:, r, c] = model.B[i][j](t_left)
     jump_factors = [
-        [1.0 + float(model.gamma[i][int(mark)](float(tau))) for i in range(n)]
+        [1.0 + float(model.gamma[i][int(mark)](float(tau))) for i in rows]
         for tau, mark in zip(path.jump_times, path.jump_marks)
     ]
     return a_vals, B_vals, sig_vals, corr, jump_factors
@@ -108,6 +112,18 @@ def _walk_slots(grid: MergedGrid):
     """Per interval: does the right node carry a jump, and which jump is it."""
     jump_counter = np.cumsum(grid.is_jump.astype(np.int64)) - grid.is_jump.astype(np.int64)
     return grid.is_jump[1:].tolist(), jump_counter[1:].tolist()
+
+
+def _jump(x, factors, t):
+    """State after a jump at ``t``, or None when it leaves the log window."""
+    nxt = [xi * fi for xi, fi in zip(x, factors)]
+    bad = False
+    for v in nxt:
+        if v != v:
+            raise IntegrationError(f"NaN state at t={t!r}")
+        if not (v > 0.0) or not (LOG_LOW < math.log(v) < LOG_HIGH):
+            bad = True
+    return None if bad else nxt
 
 
 def _finish(grid, rows, n, diverged_at):
@@ -122,6 +138,14 @@ def _finish(grid, rows, n, diverged_at):
         diverged=diverged_at is not None,
         diverged_at=diverged_at,
     )
+
+
+def _check_species(model: ModelSpec, i: int, x0_i: float) -> None:
+    require_valid(model)
+    if not (0 <= i < model.n):
+        raise IndexError(f"species index {i} out of range")
+    if not (x0_i > 0):
+        raise ValueError("initial value must be positive")
 
 
 def simulate_system(model: ModelSpec, x0, path: DrivingPath) -> Trajectory:
@@ -139,23 +163,23 @@ def simulate_system(model: ModelSpec, x0, path: DrivingPath) -> Trajectory:
     require_valid(model)
     state = as_initial_state(x0, model.n)
     grid = merge_grid(path)
-    n = model.n
-    a_vals, B_vals, sig_vals, corr, jf = _interval_data(model, grid, path)
-    if n == 1:
-        return _run_scalar(
-            grid,
-            path,
-            float(math.log(state.x0[0])),
-            a_vals[:, 0].tolist(),
-            B_vals[:, 0, 0].tolist(),
-            sig_vals[:, 0].tolist(),
-            corr[:, 0].tolist(),
-            [row[0] for row in jf],
-        )
-    return _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jf)
+    if model.n == 1:
+        return _self_regulated(model, grid, path, 0, state.x0[0])
+    species = range(model.n)
+    return _run_vector(grid, path, state, *_tabulate(model, grid, path, species, species))
+
+
+def _self_regulated(model, grid, path, i, x0_i):
+    """Species ``i`` with the drift ``a_i - b_ii X_i`` only."""
+    a_vals, B_vals, sig_vals, corr, jf = _tabulate(model, grid, path, [i], [i])
+    return _run_scalar(
+        grid, path, math.log(float(x0_i)), a_vals[:, 0], B_vals[:, 0, 0],
+        [()] * len(a_vals), sig_vals[:, 0], corr[:, 0], jf,
+    )
 
 
 def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors):
+    """Kernel for n >= 2 species, all advanced together."""
     n = len(state.x0)
     dt = np.diff(grid.times).tolist()
     dw = path.node_increments.tolist()
@@ -193,15 +217,8 @@ def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors)
         x = [math.exp(v) for v in logx]
         rows.append(list(x))
         if is_jump[l]:
-            factors = jump_factors[jump_idx[l]]
-            nxt = [xi * fi for xi, fi in zip(x, factors)]
-            bad = False
-            for v in nxt:
-                if v != v:
-                    raise IntegrationError(f"NaN state at t={grid.times[l + 1]!r}")
-                if not (v > 0.0) or not (LOG_LOW < math.log(v) < LOG_HIGH):
-                    bad = True
-            if bad:
+            nxt = _jump(x, jump_factors[jump_idx[l]], grid.times[l + 1])
+            if nxt is None:
                 diverged_at = float(grid.times[l + 1])
                 break
             x = nxt
@@ -210,62 +227,30 @@ def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors)
     return _finish(grid, rows, n, diverged_at)
 
 
-def _run_scalar(grid, path, logx0, a_eff, b_self, sig, corr, jump_factors):
-    """Self-regulating 1-D kernel: drift a(t) - b(t) * state."""
-    dt = np.diff(grid.times).tolist()
-    dw = path.node_increments.tolist()
-    is_jump, jump_idx = _walk_slots(grid)
-    logx = logx0
-    x = math.exp(logx)
-    rows = [[x]]
-    diverged_at = None
-    for l in range(len(dt)):
-        a = a_eff[l]
-        acc = b_self[l] * x
-        logx += (a - acc - corr[l]) * dt[l] + sig[l] * dw[l]
-        if logx != logx:
-            raise IntegrationError(f"NaN state at t={grid.times[l + 1]!r}")
-        if not (LOG_LOW < logx < LOG_HIGH):
-            diverged_at = float(grid.times[l + 1])
-            break
-        x = math.exp(logx)
-        rows.append([x])
-        if is_jump[l]:
-            nxt = x * jump_factors[jump_idx[l]]
-            if nxt != nxt:
-                raise IntegrationError(f"NaN state at t={grid.times[l + 1]!r}")
-            if not (nxt > 0.0) or not (LOG_LOW < math.log(nxt) < LOG_HIGH):
-                diverged_at = float(grid.times[l + 1])
-                break
-            x = nxt
-            logx = math.log(x)
-            rows.append([x])
-    return _finish(grid, rows, 1, diverged_at)
+def _run_scalar(grid, path, logz0, a, b_own, others, sig, corr, jump_factors):
+    """Width-1 kernel: one species against frozen competitors.
 
-
-def _run_lower(grid, path, logz0, i, a_vals, B_row, frozen, sig, corr, jump_factors):
-    """Lower-system kernel: species ``i``'s own state against the frozen
-    competitors ``frozen[l][j]`` (the upper solutions at each interval start).
-
-    The accumulation mirrors the full-system kernel term for term, so when
-    the frozen competitors coincide with the full state the float arithmetic
-    coincides too and the pathwise ordering cannot be broken by rounding.
+    The interaction sum is ``b_own * z`` plus the terms of ``others[l]`` in
+    order (see :func:`simulate_lower`), which reproduces the full-system
+    kernel's rounding term for term.  When the frozen competitors coincide
+    with the full state the float arithmetic coincides too, and the pathwise
+    ordering cannot be broken by rounding.
     """
-    n = len(frozen[0]) if frozen else 1
     dt = np.diff(grid.times).tolist()
     dw = path.node_increments.tolist()
+    a, b_own, sig, corr = (v.tolist() for v in (a, b_own, sig, corr))
     is_jump, jump_idx = _walk_slots(grid)
     logz = logz0
     z = math.exp(logz)
     rows = [[z]]
     diverged_at = None
     for l in range(len(dt)):
-        Bl = B_row[l]
-        wl = frozen[l]
-        acc = 0.0
-        for j in range(n):
-            acc += Bl[j] * (z if j == i else wl[j])
-        logz += (a_vals[l] - acc - corr[l]) * dt[l] + sig[l] * dw[l]
+        acc = b_own[l] * z
+        terms = others[l]
+        if terms:  # skips an empty loop in the self-regulated systems
+            for term in terms:
+                acc += term
+        logz += (a[l] - acc - corr[l]) * dt[l] + sig[l] * dw[l]
         if logz != logz:
             raise IntegrationError(f"NaN state at t={grid.times[l + 1]!r}")
         if not (LOG_LOW < logz < LOG_HIGH):
@@ -274,15 +259,13 @@ def _run_lower(grid, path, logz0, i, a_vals, B_row, frozen, sig, corr, jump_fact
         z = math.exp(logz)
         rows.append([z])
         if is_jump[l]:
-            nxt = z * jump_factors[jump_idx[l]]
-            if nxt != nxt:
-                raise IntegrationError(f"NaN state at t={grid.times[l + 1]!r}")
-            if not (nxt > 0.0) or not (LOG_LOW < math.log(nxt) < LOG_HIGH):
+            nxt = _jump([z], jump_factors[jump_idx[l]], grid.times[l + 1])
+            if nxt is None:
                 diverged_at = float(grid.times[l + 1])
                 break
-            z = nxt
+            z = nxt[0]
             logz = math.log(z)
-            rows.append([z])
+            rows.append(nxt)
     return _finish(grid, rows, 1, diverged_at)
 
 
@@ -293,34 +276,8 @@ def simulate_upper(model: ModelSpec, i: int, x0_i: float, path: DrivingPath) -> 
     jumps are identical to the full system's, so the result dominates the
     ``i``-th component pathwise.
     """
-    require_valid(model)
-    if not (0 <= i < model.n):
-        raise IndexError(f"species index {i} out of range")
-    if not (x0_i > 0):
-        raise ValueError("initial value must be positive")
-    grid = merge_grid(path)
-    t_left = grid.times[:-1]
-    a_vals = np.asarray(model.a[i](t_left), dtype=float)
-    b_vals = np.asarray(model.B[i][i](t_left), dtype=float)
-    sig_vals = np.asarray(model.sigma[i](t_left), dtype=float)
-    corr = 0.5 * sig_vals**2
-    weights = model.marks.weights
-    for k in range(model.mark_count):
-        corr += weights[k] * np.asarray(model.gamma[i][k](t_left), dtype=float)
-    jf = [
-        1.0 + float(model.gamma[i][int(mark)](float(tau)))
-        for tau, mark in zip(path.jump_times, path.jump_marks)
-    ]
-    return _run_scalar(
-        grid,
-        path,
-        math.log(float(x0_i)),
-        a_vals.tolist(),
-        b_vals.tolist(),
-        sig_vals.tolist(),
-        corr.tolist(),
-        jf,
-    )
+    _check_species(model, i, x0_i)
+    return _self_regulated(model, merge_grid(path), path, i, x0_i)
 
 
 def simulate_lower(
@@ -343,17 +300,12 @@ def simulate_lower(
     Raises:
         GridMismatchError: when an upper trajectory lives on another grid.
     """
-    require_valid(model)
-    if not (0 <= i < model.n):
-        raise IndexError(f"species index {i} out of range")
-    if not (x0_i > 0):
-        raise ValueError("initial value must be positive")
+    _check_species(model, i, x0_i)
     if len(uppers) != model.n:
         raise GridMismatchError(f"need {model.n} upper trajectories")
     grid = merge_grid(path)
-    t_left = grid.times[:-1]
     start_slots = grid.interval_start_slots()
-    frozen = np.zeros((len(t_left), model.n))
+    frozen = np.zeros((len(start_slots), model.n))
     for j in range(model.n):
         if j == i:
             continue
@@ -361,31 +313,21 @@ def simulate_lower(
         if traj is None or not traj.grid.same_nodes(grid):
             raise GridMismatchError("upper trajectories must share the path's grid")
         frozen[:, j] = traj.values[0, start_slots]
-    B_row = np.stack(
-        [np.asarray(model.B[i][j](t_left), dtype=float) for j in range(model.n)],
-        axis=1,
-    )
-    a_vals = np.asarray(model.a[i](t_left), dtype=float)
-    sig_vals = np.asarray(model.sigma[i](t_left), dtype=float)
-    corr = 0.5 * sig_vals**2
-    weights = model.marks.weights
-    for k in range(model.mark_count):
-        corr += weights[k] * np.asarray(model.gamma[i][k](t_left), dtype=float)
-    jf = [
-        1.0 + float(model.gamma[i][int(mark)](float(tau)))
-        for tau, mark in zip(path.jump_times, path.jump_marks)
-    ]
-    return _run_lower(
-        grid,
-        path,
-        math.log(float(x0_i)),
-        i,
-        a_vals.tolist(),
-        B_row.tolist(),
-        frozen.tolist(),
-        sig_vals.tolist(),
-        corr.tolist(),
-        jf,
+    a_vals, B_vals, sig_vals, corr, jf = _tabulate(model, grid, path, [i], range(model.n))
+    # The full-system kernel sums b_ij x_j over j in order.  Here the terms
+    # before the own column are summed up front into one head term, and the
+    # own term goes first: float addition commutes (b z + head == head + b z),
+    # and 0 + b z == b z because b_ii z > 0.
+    pressure = B_vals[:, 0, :] * frozen
+    others = pressure[:, i + 1 :]
+    if i:
+        head = np.zeros(len(frozen))
+        for j in range(i):
+            head += pressure[:, j]
+        others = np.column_stack((head, others))
+    return _run_scalar(
+        grid, path, math.log(float(x0_i)), a_vals[:, 0], B_vals[:, 0, i],
+        others.tolist(), sig_vals[:, 0], corr[:, 0], jf,
     )
 
 

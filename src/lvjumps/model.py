@@ -24,7 +24,6 @@ from .coefficients import (
     CoefficientFn,
     Const,
     coeff_from_payload,
-    coeff_inf,
     coeff_to_payload,
 )
 from .errors import DomainError, ModelFormatError
@@ -52,19 +51,12 @@ class MarkSpace:
     """
 
     weights: tuple[float, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         weights = tuple(float(w) for w in self.weights)
         object.__setattr__(self, "weights", weights)
         if any(not math.isfinite(w) or w <= 0 for w in weights):
             raise ModelFormatError("mark weights must be finite and > 0")
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", tuple(f"u{k + 1}" for k in range(len(weights)))
-            )
-        elif len(self.labels) != len(weights):
-            raise ModelFormatError("mark labels must match weights in length")
 
     @property
     def size(self) -> int:
@@ -73,13 +65,6 @@ class MarkSpace:
     @property
     def total_mass(self) -> float:
         return float(sum(self.weights))
-
-    def integrate(self, per_mark_values) -> float:
-        """Exact integral of a per-mark quantity against the intensity measure."""
-        vals = np.asarray(per_mark_values, dtype=float)
-        if vals.shape != (self.size,):
-            raise ValueError(f"expected {self.size} per-mark values")
-        return float(np.dot(vals, np.asarray(self.weights)))
 
 
 @dataclass(frozen=True)
@@ -229,14 +214,14 @@ def validate_model(model: ModelSpec) -> ValidationReport:
     """
     report = ValidationReport()
     for i, f in enumerate(model.a):
-        lo = coeff_inf(f)
+        lo = f.infimum
         if lo <= 0:
             report.violations.append(
                 Violation(f"a_{i + 1}", f"inf a_{i + 1} = {lo:g} not > 0", lo)
             )
     for i, row in enumerate(model.B):
         for j, f in enumerate(row):
-            lo = coeff_inf(f)
+            lo = f.infimum
             name = f"b_{i + 1}{j + 1}"
             if i == j and lo <= 0:
                 report.violations.append(
@@ -248,7 +233,7 @@ def validate_model(model: ModelSpec) -> ValidationReport:
                 )
     for i, row in enumerate(model.gamma):
         for k, f in enumerate(row):
-            lo = coeff_inf(f)
+            lo = f.infimum
             if lo <= -1:
                 name = f"gamma_{i + 1}{k + 1}"
                 report.violations.append(

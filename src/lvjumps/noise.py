@@ -16,9 +16,9 @@ merged-grid interval.  Increments are generated directly on the merged grid
 value at a jump time is exact in law; per-uniform-cell increments are their
 within-cell sums and are therefore i.i.d. Normal(0, h) as required.
 
-Derived paths (``coarsen_path``, ``refine_path``) keep the identical jump
-record and re-use the parent's Gaussian randomness, so every resolution of a
-convergence study shares one underlying Brownian path.
+A coarsened path (``coarsen_path``) keeps the identical jump record and sums
+the parent's Gaussian increments, so every resolution of a convergence study
+shares one underlying Brownian path.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "sample_driving_path",
     "merge_grid",
     "coarsen_path",
-    "refine_path",
     "save_path",
     "load_path",
     "derive_path_seed",
@@ -47,7 +46,6 @@ __all__ = [
 RNG_ALGORITHM = "pcg64/jumps-marks-increments/v1"
 
 _EXP_BLOCK = 256
-_REFINE_STREAM_TAG = 0x52464E31  # distinct entropy word for bridge refinement
 
 KIND_GRID, KIND_LEFT, KIND_POST = 0, 1, 2
 KIND_LABELS = ("grid", "left", "post")
@@ -313,48 +311,6 @@ def coarsen_path(path: DrivingPath, factor: int) -> DrivingPath:
         jump_marks=path.jump_marks,
         extra_times=path.extra_times,
         rng_algorithm_id=path.rng_algorithm_id + f"+coarsen{factor}",
-    )
-
-
-def refine_path(path: DrivingPath, new_times) -> DrivingPath:
-    """Insert deterministic nodes into an existing path.
-
-    Each inserted node splits its containing interval by exact Brownian-bridge
-    conditional sampling, driven by a dedicated stream derived from
-    ``(path.seed, new_times)`` so the refinement is reproducible.  Nodes that
-    already exist are ignored.
-    """
-    req = np.sort(np.unique(np.asarray(new_times, dtype=float)))
-    req = req[(req > 0) & (req < path.T)]
-    missing = req[~np.isin(req, path.node_times)]
-    if not len(missing):
-        return path
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=[path.seed & 0xFFFFFFFFFFFFFFFF, _REFINE_STREAM_TAG])
-    )
-    times = path.node_times.tolist()
-    incs = path.node_increments.tolist()
-    for s in missing:
-        l = int(np.searchsorted(times, s)) - 1
-        t0, t1 = times[l], times[l + 1]
-        delta = t1 - t0
-        alpha = (s - t0) / delta
-        w = incs[l]
-        left = alpha * w + rng.standard_normal() * np.sqrt(alpha * (1.0 - alpha) * delta)
-        times.insert(l + 1, float(s))
-        incs[l] = float(left)
-        incs.insert(l + 1, float(w - left))
-    return DrivingPath(
-        T=path.T,
-        h=path.h,
-        seed=path.seed,
-        mark_count=path.mark_count,
-        node_times=np.asarray(times),
-        node_increments=np.asarray(incs),
-        jump_times=path.jump_times,
-        jump_marks=path.jump_marks,
-        extra_times=np.unique(np.concatenate((path.extra_times, missing))),
-        rng_algorithm_id=path.rng_algorithm_id + "+refine",
     )
 
 

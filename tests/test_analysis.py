@@ -7,6 +7,7 @@ import pytest
 
 from lvjumps import (
     MarkSpace,
+    MCSeries,
     Trajectory,
     constant_model,
     coupling_contraction,
@@ -14,6 +15,7 @@ from lvjumps import (
     invariant_distance,
     inverse_moment_check,
     lyapunov_functional,
+    lyapunov_functional_mc,
     merge_grid,
     sample_driving_path,
     sample_lyapunov,
@@ -193,3 +195,21 @@ def test_mc_csv_format(tmp_path, benchmark_model):
     assert lines[0] == "checkpoint,mean,std_error,bound,flag"
     assert len(lines) == 1 + len(series.checkpoints)
     assert lines[1].endswith(",true") or lines[1].endswith(",false")
+
+
+def test_functional_mc_refuses_when_every_path_diverges():
+    model = constant_model(1, a=0.01, b=1.0, sigma=3.0)
+    with pytest.raises(PrerequisiteError, match="diverged"):
+        lyapunov_functional_mc(model, [1.0], 256.0, 2.0**-4, 2, 3)
+
+
+def test_mc_series_rejects_nan_standard_error():
+    t = np.array([1.0, 2.0])
+    with pytest.raises(ValueError):
+        MCSeries(checkpoints=t, mean=np.array([1.0, 1.0]), std_error=np.array([0.1, np.nan]),
+                 n_paths=2)
+    with pytest.raises(ValueError):
+        MCSeries(checkpoints=t, mean=np.ones(2), std_error=np.array([0.1, -0.1]), n_paths=2)
+    # an undefined checkpoint (NaN mean) carries a NaN standard error
+    MCSeries(checkpoints=t, mean=np.array([np.nan, 1.0]), std_error=np.array([np.nan, 0.1]),
+             n_paths=2)

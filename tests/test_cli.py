@@ -144,6 +144,19 @@ def test_analyze_moments_writes_verdict(model_file, tmp_path):
     assert (out / "moments_p2.csv").exists()
 
 
+def test_analyze_zero_checkpoints_exit_2(model_file, tmp_path):
+    code = main(
+        ["analyze", "moments", "--model", str(model_file), "--out", str(tmp_path / "o"),
+         "--T", "1.0", "--h", "0.125", "--paths", "2", "--checkpoints", "0"]
+    )
+    assert code == 2
+
+
+def test_missing_model_file_exit_2(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    assert main(["classify", "--model", missing, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_classify_output(tmp_path):
     payload = model_payload(a=0.1, sigma=1.0, gamma=-0.5)
     f = tmp_path / "extinct.json"

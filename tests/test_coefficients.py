@@ -10,8 +10,6 @@ from lvjumps.coefficients import (
     PiecewiseConst,
     Sinusoid,
     coeff_from_payload,
-    coeff_inf,
-    coeff_sup,
     coeff_to_payload,
 )
 from lvjumps.errors import ModelFormatError
@@ -34,20 +32,20 @@ def coefficients():
 
 
 def test_const_extrema():
-    assert coeff_inf(Const(3)) == 3
-    assert coeff_sup(Const(3)) == 3
+    assert Const(3).infimum == 3
+    assert Const(3).supremum == 3
 
 
 def test_sinusoid_extrema():
     f = Sinusoid(2, 1, 5, 0.3)
-    assert coeff_inf(f) == 1
-    assert coeff_sup(f) == 3
+    assert f.infimum == 1
+    assert f.supremum == 3
 
 
 def test_piecewise_extrema():
     f = PiecewiseConst((1, 2), (4, 1, 7))
-    assert coeff_inf(f) == 1
-    assert coeff_sup(f) == 7
+    assert f.infimum == 1
+    assert f.supremum == 7
 
 
 def test_piecewise_evaluation_right_continuous():
@@ -62,8 +60,8 @@ def test_piecewise_evaluation_right_continuous():
 def test_bounds_hold_on_dense_grid(f):
     ts = np.linspace(0.0, 40.0, 4001)
     vals = np.asarray(f(ts))
-    assert np.all(vals >= coeff_inf(f) - 1e-12)
-    assert np.all(vals <= coeff_sup(f) + 1e-12)
+    assert np.all(vals >= f.infimum - 1e-12)
+    assert np.all(vals <= f.supremum + 1e-12)
 
 
 def _quadrature_tol(f, t, scale, numeric):
@@ -78,7 +76,7 @@ def _quadrature_tol(f, t, scale, numeric):
 def test_antiderivative_matches_quadrature(f, t):
     ts = np.linspace(0.0, t, 20001)
     numeric = np.trapezoid(np.asarray(f(ts)), ts)
-    bound = max(abs(coeff_inf(f)), abs(coeff_sup(f)))
+    bound = max(abs(f.infimum), abs(f.supremum))
     assert f.antiderivative(t) == pytest.approx(
         numeric, abs=_quadrature_tol(f, t, bound, numeric)
     )
@@ -89,7 +87,7 @@ def test_antiderivative_matches_quadrature(f, t):
 def test_square_antiderivative_matches_quadrature(f, t):
     ts = np.linspace(0.0, t, 20001)
     numeric = np.trapezoid(np.asarray(f(ts)) ** 2, ts)
-    bound = max(abs(coeff_inf(f)), abs(coeff_sup(f))) ** 2
+    bound = max(abs(f.infimum), abs(f.supremum)) ** 2
     assert f.square_antiderivative(t) == pytest.approx(
         numeric, abs=_quadrature_tol(f, t, bound, numeric)
     )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lvjumps import (
+    ModelSpec,
     constant_model,
     sample_driving_path,
     simulate_lower,
@@ -100,6 +101,26 @@ def test_scalar_system_equals_upper():
         simulate_system(model, [0.7], path).values,
         simulate_upper(model, 0, 0.7, path).values,
     )
+    # species i's upper system is the one-species model made of a_i, b_ii,
+    # sigma_i and gamma_i, time-varying coefficients and marks included
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        model = random_valid_model(rng)
+        x0 = random_x0(rng, model.n)
+        path = sample_driving_path(
+            model.marks, 3.0, 2.0**-8, int(rng.integers(1 << 31)),
+            extra_times=tuple(b for b in model.pwc_breakpoints() if 0 < b < 3.0),
+        )
+        for i in range(model.n):
+            single = ModelSpec(
+                n=1, a=(model.a[i],), B=((model.B[i][i],),), sigma=(model.sigma[i],),
+                gamma=(model.gamma[i],), marks=model.marks,
+            )
+            assert np.array_equal(
+                simulate_system(single, [x0[i]], path).values,
+                simulate_upper(model, i, x0[i], path).values,
+                equal_nan=True,
+            )
 
 
 def test_diagonal_interactions_make_lower_equal_upper():

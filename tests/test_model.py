@@ -73,7 +73,6 @@ def test_mark_space():
     ms = MarkSpace((0.5, 1.5))
     assert ms.size == 2
     assert ms.total_mass == 2.0
-    assert ms.integrate([2.0, 4.0]) == 0.5 * 2.0 + 1.5 * 4.0
     with pytest.raises(ModelFormatError):
         MarkSpace((0.0,))
 

@@ -13,7 +13,6 @@ from lvjumps import (
     coarsen_path,
     load_path,
     merge_grid,
-    refine_path,
     sample_driving_path,
     save_path,
 )
@@ -141,20 +140,6 @@ def test_coarsen_preserves_randomness():
     assert coarse.brownian_endpoint() == pytest.approx(fine.brownian_endpoint(), abs=1e-12)
     with pytest.raises(ConfigurationError):
         coarsen_path(fine, 7)
-
-
-def test_refine_inserts_nodes_and_preserves_sums():
-    marks = MarkSpace((0.5,))
-    path = sample_driving_path(marks, 2.0, 0.25, 77)
-    refined = refine_path(path, [0.1, 0.9, 0.9])
-    assert 0.1 in refined.node_times and 0.9 in refined.node_times
-    assert refined.brownian_endpoint() == pytest.approx(path.brownian_endpoint(), abs=1e-12)
-    np.testing.assert_allclose(
-        refined.brownian_increments, path.brownian_increments, rtol=0, atol=1e-15
-    )
-    again = refine_path(path, [0.1, 0.9])
-    assert np.array_equal(again.node_increments, refined.node_increments)
-    assert refine_path(refined, [0.1]) is refined  # already present
 
 
 def test_extra_times_at_generation():
