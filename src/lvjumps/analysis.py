@@ -24,7 +24,7 @@ from .closedform import explicit_logistic_log
 from .coefficients import Const
 from .conditions import compute_regime_report
 from .errors import ConfigurationError, PrerequisiteError
-from .integrate import Trajectory, format_float, simulate_system, simulate_upper
+from .integrate import Trajectory, _write_table, simulate_system, simulate_upper
 from .model import ModelSpec, as_initial_state
 from .noise import derive_path_seed, sample_driving_path
 
@@ -473,20 +473,12 @@ def invariant_distance(
 
 def write_mc_csv(series: MCSeries, fileobj, bound=None, flags=None) -> None:
     """CSV rows: checkpoint, mean, std_error[, bound, flag]."""
-    cols = ["checkpoint", "mean", "std_error"]
+    header = ["checkpoint", "mean", "std_error"]
+    columns = [series.checkpoints, series.mean, series.std_error]
     if bound is not None:
-        cols.append("bound")
+        header.append("bound")
+        columns.append(bound)
     if flags is not None:
-        cols.append("flag")
-    fileobj.write(",".join(cols) + "\n")
-    for idx in range(len(series.checkpoints)):
-        row = [
-            format_float(series.checkpoints[idx]),
-            format_float(series.mean[idx]),
-            format_float(series.std_error[idx]),
-        ]
-        if bound is not None:
-            row.append(format_float(bound[idx]))
-        if flags is not None:
-            row.append(str(bool(flags[idx])).lower())
-        fileobj.write(",".join(row) + "\n")
+        header.append("flag")
+        columns.append(["true" if f else "false" for f in flags])
+    _write_table(fileobj, header, columns)

@@ -35,7 +35,8 @@ from .errors import (
     PrerequisiteError,
 )
 from .integrate import (
-    format_float,
+    Trajectory,
+    _write_table,
     simulate_lower,
     simulate_system,
     simulate_upper,
@@ -71,10 +72,21 @@ def _load(args) -> ModelSpec:
         raise ConfigurationError(f"cannot read the model file: {exc}") from exc
 
 
+def _float_list(text: str, flag: str) -> list[float]:
+    """Numbers of a comma-separated flag value; blank entries are skipped."""
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag} takes comma-separated numbers: {exc}") from exc
+    if not vals:
+        raise ConfigurationError(f"{flag} holds no numbers")
+    return vals
+
+
 def _x0_list(args, n) -> list[float]:
     if args.x0 is None:
         return [1.0] * n
-    vals = [float(v) for v in args.x0.split(",")]
+    vals = _float_list(args.x0, "--x0")
     if len(vals) == 1 and n > 1:
         vals = vals * n
     if len(vals) != n:
@@ -96,6 +108,8 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     out = _outdir(args)
     model = _load(args)
+    if args.with_oracle and model.n != 1:
+        raise ConfigurationError("--with-oracle applies to 1-species models")
     report = validate_model(model)
     if not report.ok:
         _write_json(out / "validation.json", report.to_payload())
@@ -144,22 +158,11 @@ def cmd_simulate(args) -> int:
         print(f"sandwich violations: {violations}")
 
     if args.with_oracle and not traj.diverged:
-        if model.n != 1:
-            raise ConfigurationError("--with-oracle applies to 1-species models")
         oracle = explicit_logistic(model, 0, x0[0], path)
         with open(out / "oracle.csv", "w", encoding="utf-8") as fh:
-            fh.write("time,slot_kind,oracle\n")
-            from .noise import KIND_LABELS
-
-            for s in range(oracle.grid.n_slots):
-                fh.write(
-                    format_float(oracle.grid.slot_times[s])
-                    + ","
-                    + KIND_LABELS[oracle.grid.slot_kinds[s]]
-                    + ","
-                    + format_float(oracle.values[s])
-                    + "\n"
-                )
+            write_trajectory_csv(
+                Trajectory(oracle.grid, oracle.values[None, :]), fh, header_names=["oracle"]
+            )
         gap = float(np.max(np.abs(traj.values[0] - oracle.values) / oracle.values))
         _write_json(
             out / "oracle_summary.json",
@@ -275,7 +278,7 @@ def cmd_analyze(args) -> int:
 def cmd_classify(args) -> int:
     out = _outdir(args)
     model = _load(args)
-    p_list = tuple(float(p) for p in args.p_list.split(",")) if args.p_list else (2.0,)
+    p_list = tuple(_float_list(args.p_list, "--p-list")) if args.p_list else (2.0,)
     report = compute_regime_report(model, p_list=p_list)
     _write_json(out / "classification.json", report.to_payload())
     print(
@@ -285,19 +288,21 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_FIELDS = ("a", "sigma", "B", "gamma", "weights")
-
-
-def _parse_target(target: str):
-    name = target.split("[", 1)[0]
-    if name not in _SWEEP_FIELDS:
+def _parse_target(target: str, model: ModelSpec):
+    n, K = model.n, model.mark_count
+    # the exclusive bound of each index: species below n, marks below K
+    limits = {"a": (n,), "sigma": (n,), "B": (n, n), "gamma": (n, K), "weights": (K,)}
+    name, *parts = target.split("[")
+    try:
+        idx = [int(p.rstrip("]")) for p in parts]
+    except ValueError:
+        idx = []
+    bounds = limits.get(name, ())
+    if not bounds or len(idx) != len(bounds) or not all(0 <= i < m for i, m in zip(idx, bounds)):
         raise ConfigurationError(
-            f"sweep target must be one of {_SWEEP_FIELDS}, got {target!r}"
+            "sweep target must be a[i], sigma[i], B[i][j], gamma[i][k] or weights[k]"
+            f" with 0 <= i, j < {n} and 0 <= k < {K}, got {target!r}"
         )
-    idx = [int(p.rstrip("]")) for p in target.split("[")[1:]]
-    expected = 2 if name in ("B", "gamma") else 1
-    if len(idx) != expected:
-        raise ConfigurationError(f"sweep target {target!r} needs {expected} index(es)")
     return name, idx
 
 
@@ -316,12 +321,15 @@ def _with_value(model: ModelSpec, target, value: float) -> ModelSpec:
 
 def _grid_values(args) -> list[float]:
     if args.values:
-        vals = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        vals = _float_list(args.values, "--values")
     elif args.grid:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise ConfigurationError("--grid must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        try:
+            start, stop, step = (float(p) for p in parts)
+        except ValueError as exc:
+            raise ConfigurationError(f"--grid takes numbers: {exc}") from exc
         if step <= 0:
             raise ConfigurationError("--grid step must be > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -338,35 +346,26 @@ def _grid_values(args) -> list[float]:
 def cmd_sweep(args) -> int:
     out = _outdir(args)
     model = _load(args)
-    target = _parse_target(args.param)
+    target = _parse_target(args.param, model)
     values = _grid_values(args)
-    rows = []
-    for k, v in enumerate(values):
-        swept = _with_value(model, target, v)
-        rep = compute_regime_report(swept)
-        for s in rep.species:
-            rows.append(
-                (
-                    args.param,
-                    v,
-                    s.species,
-                    s.classification,
-                    s.eta.value,
-                    s.c1.value,
-                    s.net_growth_inf.value,
-                    s.competition_margin.value,
-                )
-            )
+    points = [
+        (v, s)
+        for v in values
+        for s in compute_regime_report(_with_value(model, target, v)).species
+    ]
+    bounds = ("eta", "c1", "net_growth_inf", "competition_margin")
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write(
-            "param,value,species,classification,eta,c1,net_growth_inf,competition_margin\n"
+        _write_table(
+            fh,
+            ["param", "value", "species", "classification", *bounds],
+            [
+                [args.param] * len(points),
+                [v for v, _ in points],
+                [str(s.species) for _, s in points],
+                [s.classification for _, s in points],
+                *([getattr(s, b).value for _, s in points] for b in bounds),
+            ],
         )
-        for row in rows:
-            fh.write(
-                f"{row[0]},{format_float(row[1])},{row[2]},{row[3]},"
-                + ",".join(format_float(v) for v in row[4:])
-                + "\n"
-            )
     print(f"wrote {out / 'sweep.csv'} ({len(values)} grid points)")
     return EXIT_OK
 

@@ -336,28 +336,36 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_table(fileobj, header, columns) -> None:
+    """Write a CSV header row, then one row per entry of the equal-length columns.
+
+    String cells are written as they are; every other cell is a number and is
+    rendered by :func:`format_float`.  This is the one place that writes rows.
+    """
+    cells = [[v if isinstance(v, str) else format_float(v) for v in col] for col in columns]
+    fileobj.write(",".join(header) + "\n")
+    fileobj.write("".join(",".join(row) + "\n" for row in zip(*cells, strict=True)))
+
+
 def write_trajectory_csv(traj: Trajectory, fileobj, header_names=None) -> None:
     """Write slots as rows: time, slot_kind, one column per species.
 
-    Diverged paths end with a DIVERGED sentinel row after the last finite slot.
+    Rows stop at the first slot where any species is NaN.  Diverged paths end
+    with a DIVERGED sentinel row after the last finite slot.
     """
     n = traj.species_count
     names = header_names or [f"X_{i + 1}" for i in range(n)]
-    fileobj.write("time,slot_kind," + ",".join(names) + "\n")
     grid = traj.grid
-    for s in range(grid.n_slots):
-        vals = traj.values[:, s]
-        if np.any(np.isnan(vals)):
-            break
-        fileobj.write(
-            format_float(grid.slot_times[s])
-            + ","
-            + KIND_LABELS[grid.slot_kinds[s]]
-            + ","
-            + ",".join(format_float(v) for v in vals)
-            + "\n"
-        )
+    nan_slots = np.flatnonzero(np.isnan(traj.values).any(axis=0))
+    stop = int(nan_slots[0]) if len(nan_slots) else grid.n_slots
+    _write_table(
+        fileobj,
+        ["time", "slot_kind", *names],
+        [
+            grid.slot_times[:stop].tolist(),
+            [KIND_LABELS[k] for k in grid.slot_kinds[:stop].tolist()],
+            *traj.values[:, :stop].tolist(),
+        ],
+    )
     if traj.diverged:
-        fileobj.write(
-            "DIVERGED," + format_float(traj.diverged_at) + "," + ",".join([""] * n) + "\n"
-        )
+        fileobj.write("DIVERGED," + format_float(traj.diverged_at) + "," * n + "\n")

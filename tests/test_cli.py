@@ -2,9 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from lvjumps import (
+    explicit_logistic,
+    load_model,
+    sample_driving_path,
+    simulate_lower,
+    simulate_system,
+    simulate_upper,
+)
 from lvjumps.cli import main
+from lvjumps.noise import KIND_LABELS
 
 
 def model_payload(a=2.0, sigma=1.0, gamma=0.5, lam=1.0):
@@ -85,6 +95,54 @@ def test_simulate_with_bounds_and_oracle(model_file, tmp_path):
     assert (out / "trajectory_Y_1.csv").exists()
     assert (out / "trajectory_Z_1.csv").exists()
     assert (out / "path.bin").exists()
+
+
+def test_csv_outputs_round_trip_exactly(model_file, tmp_path):
+    out = tmp_path / "o"
+    code = main(
+        ["simulate", "--model", str(model_file), "--out", str(out),
+         "--T", "1.0", "--h", str(2.0**-8), "--seed", "2",
+         "--with-bounds", "--with-oracle", "--x0", "0.5"]
+    )
+    assert code == 0
+    model = load_model(model_file)
+    path = sample_driving_path(model.marks, 1.0, 2.0**-8, 2)
+    full = simulate_system(model, [0.5], path)
+    upper = simulate_upper(model, 0, 0.5, path)
+    expected = {
+        "trajectory_X.csv": full.values[0],
+        "trajectory_Y_1.csv": upper.values[0],
+        "trajectory_Z_1.csv": simulate_lower(model, 0, 0.5, path, [upper]).values[0],
+        "oracle.csv": explicit_logistic(model, 0, 0.5, path).values,
+    }
+    grid = full.grid
+    assert grid.is_jump.any()
+    for name, values in expected.items():
+        rows = [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+        times, kinds, parsed = zip(*rows)
+        assert np.array([float(t) for t in times]).tobytes() == grid.slot_times.tobytes()
+        assert list(kinds) == [KIND_LABELS[k] for k in grid.slot_kinds]
+        assert np.array([float(v) for v in parsed]).tobytes() == values.tobytes()
+
+
+def test_oracle_on_two_species_exit_2_before_any_output(tmp_path):
+    payload = model_payload()
+    payload.update(
+        n=2,
+        a=payload["a"] * 2,
+        B=[[{"type": "const", "c": 1.0}] * 2] * 2,
+        sigma=payload["sigma"] * 2,
+        gamma=payload["gamma"] * 2,
+    )
+    f = tmp_path / "two.json"
+    f.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    code = main(
+        ["simulate", "--model", str(f), "--out", str(out), "--T", "1.0", "--h", "0.125",
+         "--with-oracle", "--dump-path"]
+    )
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_simulate_divergence_exit_3(tmp_path):
@@ -209,11 +267,32 @@ def test_sweep_nonfinite_value_exit_2(model_file, tmp_path):
     ) == 2
 
 
-def test_sweep_bad_target_exit_2(model_file, tmp_path):
+@pytest.mark.parametrize(
+    "target",
+    ["zeta[0]", "a[3]", "a[x]", "a[-1]", "gamma[0][4]", "weights[2]"],
+    ids=["unknown-field", "species-past-n", "non-integer", "negative", "mark-past-K",
+         "weight-past-K"],
+)
+def test_sweep_bad_target_exit_2(model_file, tmp_path, target):
     assert main(
         ["sweep", "--model", str(model_file), "--out", str(tmp_path / "o"),
-         "--param", "zeta[0]", "--values", "1.0"]
+         "--param", target, "--values", "1.0"]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--x0", "abc"],
+        ["sweep", "--param", "a[0]", "--values", "1,zz"],
+        ["sweep", "--param", "a[0]", "--grid", "0:x:1"],
+        ["classify", "--p-list", "2,q"],
+        ["classify", "--p-list", ","],
+    ],
+    ids=["x0", "values", "grid", "p-list", "p-list-blank"],
+)
+def test_bad_number_list_exit_2(model_file, tmp_path, argv):
+    assert main(argv + ["--model", str(model_file), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_reruns_byte_identical(model_file, tmp_path):
