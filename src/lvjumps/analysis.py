@@ -26,7 +26,7 @@ from .conditions import compute_regime_report
 from .errors import ConfigurationError, PrerequisiteError
 from .integrate import Trajectory, _write_table, simulate_system, simulate_upper
 from .model import ModelSpec, as_initial_state
-from .noise import derive_path_seed, sample_driving_path
+from .noise import _steps_of, derive_path_seed, sample_driving_path
 
 __all__ = [
     "MCSeries",
@@ -73,7 +73,7 @@ def default_checkpoints(T: float, h: float, count: int = 50) -> np.ndarray:
     """``count`` roughly uniform times snapped onto the step grid, ending at T."""
     if count < 1:
         raise ConfigurationError(f"need at least one checkpoint, got {count}")
-    M = round(T / h)
+    M = _steps_of(T, h)
     grid = np.linspace(0.0, T, M + 1)
     idx = np.unique(np.clip(np.round(np.arange(1, count + 1) * M / count), 1, M).astype(int))
     return grid[idx]

@@ -52,6 +52,9 @@ EXIT_DIVERGED = 3
 EXIT_ORACLE = 4
 EXIT_PREREQUISITE = 5
 
+# Largest number of points a sweep --grid may hold, checked before the list is built.
+_MAX_GRID_POINTS = 100_000
+
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -332,7 +335,10 @@ def _grid_values(args) -> list[float]:
             raise ConfigurationError(f"--grid takes numbers: {exc}") from exc
         if step <= 0:
             raise ConfigurationError("--grid step must be > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if not (span < _MAX_GRID_POINTS):
+            raise ConfigurationError(f"--grid may hold at most {_MAX_GRID_POINTS} points")
+        count = int(math.floor(span)) + 1
         vals = [start + k * step for k in range(count)]
     else:
         vals = []

@@ -18,6 +18,13 @@ the pathwise comparison tests rely on; a plain Euler step can go negative.
 A path is flagged *diverged* (not an error) when a log population leaves the
 window representable by float64 without denormalising; any NaN is a hard
 error.
+
+The step loops hold only floats: the coefficient tables are flat lists indexed
+``l*n + i`` (and ``l*n*n + i*n + j`` for the interactions), and each slot's
+state is appended to one flat list that becomes the trajectory array at the
+end.  A list per slot or per table row would survive the whole path, and
+thousands of such survivors make CPython's cyclic garbage collector run full
+collections over the whole heap, which cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -126,12 +133,11 @@ def _jump(x, factors, t):
     return None if bad else nxt
 
 
-def _finish(grid, rows, n, diverged_at):
-    S = grid.n_slots
-    out = np.full((n, S), np.nan)
-    if rows:
-        filled = np.asarray(rows, dtype=float).T
-        out[:, : filled.shape[1]] = filled
+def _finish(grid, flat, n, diverged_at):
+    """Trajectory from the slot states stored one after another in ``flat``."""
+    out = np.full((n, grid.n_slots), np.nan)
+    filled = np.asarray(flat, dtype=float).reshape(-1, n).T
+    out[:, : filled.shape[1]] = filled
     return Trajectory(
         grid=grid,
         values=out,
@@ -174,37 +180,37 @@ def _self_regulated(model, grid, path, i, x0_i):
     a_vals, B_vals, sig_vals, corr, jf = _tabulate(model, grid, path, [i], [i])
     return _run_scalar(
         grid, path, math.log(float(x0_i)), a_vals[:, 0], B_vals[:, 0, 0],
-        [()] * len(a_vals), sig_vals[:, 0], corr[:, 0], jf,
+        sig_vals[:, 0], corr[:, 0], jf,
     )
 
 
 def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors):
     """Kernel for n >= 2 species, all advanced together."""
     n = len(state.x0)
+    nn = n * n
+    species = range(n)
     dt = np.diff(grid.times).tolist()
     dw = path.node_increments.tolist()
-    a_l = a_vals.tolist()
-    B_l = B_vals.tolist()
-    s_l = sig_vals.tolist()
-    c_l = corr.tolist()
+    a_l = a_vals.ravel().tolist()
+    B_l = B_vals.ravel().tolist()
+    s_l = sig_vals.ravel().tolist()
+    c_l = corr.ravel().tolist()
     is_jump, jump_idx = _walk_slots(grid)
     logx = [math.log(v) for v in state.x0]
     x = [math.exp(v) for v in logx]
-    rows = [list(x)]
+    flat = list(x)
     diverged_at = None
     for l in range(len(dt)):
-        al = a_l[l]
-        Bl = B_l[l]
-        sl = s_l[l]
-        cl = c_l[l]
         dtl = dt[l]
         dwl = dw[l]
-        for i in range(n):
-            Bi = Bl[i]
+        row = l * nn
+        for i in species:
             acc = 0.0
-            for j in range(n):
-                acc += Bi[j] * x[j]
-            logx[i] += (al[i] - acc - cl[i]) * dtl + sl[i] * dwl
+            for j in species:
+                acc += B_l[row + j] * x[j]
+            row += n
+            k = l * n + i
+            logx[i] += (a_l[k] - acc - c_l[k]) * dtl + s_l[k] * dwl
         bad = False
         for v in logx:
             if not (LOG_LOW < v < LOG_HIGH):
@@ -215,7 +221,7 @@ def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors)
             diverged_at = float(grid.times[l + 1])
             break
         x = [math.exp(v) for v in logx]
-        rows.append(list(x))
+        flat.extend(x)
         if is_jump[l]:
             nxt = _jump(x, jump_factors[jump_idx[l]], grid.times[l + 1])
             if nxt is None:
@@ -223,33 +229,35 @@ def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors)
                 break
             x = nxt
             logx = [math.log(v) for v in x]
-            rows.append(list(x))
-    return _finish(grid, rows, n, diverged_at)
+            flat.extend(x)
+    return _finish(grid, flat, n, diverged_at)
 
 
-def _run_scalar(grid, path, logz0, a, b_own, others, sig, corr, jump_factors):
+def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=()):
     """Width-1 kernel: one species against frozen competitors.
 
-    The interaction sum is ``b_own * z`` plus the terms of ``others[l]`` in
-    order (see :func:`simulate_lower`), which reproduces the full-system
-    kernel's rounding term for term.  When the frozen competitors coincide
-    with the full state the float arithmetic coincides too, and the pathwise
-    ordering cannot be broken by rounding.
+    The interaction sum is ``b_own * z`` plus, in order, the terms
+    ``others[l*width : (l+1)*width]`` of interval ``l``, with the same width
+    for every interval (see :func:`simulate_lower`; the self-regulated
+    systems have none), which reproduces the full-system kernel's rounding
+    term for term.  When the frozen competitors coincide with the full state
+    the float arithmetic coincides too, and the pathwise ordering cannot be
+    broken by rounding.
     """
     dt = np.diff(grid.times).tolist()
     dw = path.node_increments.tolist()
     a, b_own, sig, corr = (v.tolist() for v in (a, b_own, sig, corr))
+    width = len(others) // len(dt)
     is_jump, jump_idx = _walk_slots(grid)
     logz = logz0
     z = math.exp(logz)
-    rows = [[z]]
+    flat = [z]
     diverged_at = None
     for l in range(len(dt)):
         acc = b_own[l] * z
-        terms = others[l]
-        if terms:  # skips an empty loop in the self-regulated systems
-            for term in terms:
-                acc += term
+        if width:
+            for m in range(l * width, (l + 1) * width):
+                acc += others[m]
         logz += (a[l] - acc - corr[l]) * dt[l] + sig[l] * dw[l]
         if logz != logz:
             raise IntegrationError(f"NaN state at t={grid.times[l + 1]!r}")
@@ -257,7 +265,7 @@ def _run_scalar(grid, path, logz0, a, b_own, others, sig, corr, jump_factors):
             diverged_at = float(grid.times[l + 1])
             break
         z = math.exp(logz)
-        rows.append([z])
+        flat.append(z)
         if is_jump[l]:
             nxt = _jump([z], jump_factors[jump_idx[l]], grid.times[l + 1])
             if nxt is None:
@@ -265,8 +273,8 @@ def _run_scalar(grid, path, logz0, a, b_own, others, sig, corr, jump_factors):
                 break
             z = nxt[0]
             logz = math.log(z)
-            rows.append(nxt)
-    return _finish(grid, rows, 1, diverged_at)
+            flat.append(z)
+    return _finish(grid, flat, 1, diverged_at)
 
 
 def simulate_upper(model: ModelSpec, i: int, x0_i: float, path: DrivingPath) -> Trajectory:
@@ -327,7 +335,7 @@ def simulate_lower(
         others = np.column_stack((head, others))
     return _run_scalar(
         grid, path, math.log(float(x0_i)), a_vals[:, 0], B_vals[:, 0, i],
-        others.tolist(), sig_vals[:, 0], corr[:, 0], jf,
+        sig_vals[:, 0], corr[:, 0], jf, others.ravel().tolist(),
     )
 
 

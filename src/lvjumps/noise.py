@@ -47,6 +47,10 @@ RNG_ALGORITHM = "pcg64/jumps-marks-increments/v1"
 
 _EXP_BLOCK = 256
 
+# Largest number of uniform cells T/h accepted, checked before anything is
+# allocated: a grid this long already takes about 80 MB per float array.
+_MAX_STEPS = 10**7
+
 KIND_GRID, KIND_LEFT, KIND_POST = 0, 1, 2
 KIND_LABELS = ("grid", "left", "post")
 
@@ -58,7 +62,10 @@ def _uniform_times(T: float, M: int) -> np.ndarray:
 def _steps_of(T: float, h: float) -> int:
     if not (T > 0 and h > 0):
         raise ConfigurationError(f"need T > 0 and h > 0, got T={T}, h={h}")
-    M = round(T / h)
+    ratio = T / h
+    if not (ratio < _MAX_STEPS + 0.5):  # also catches inf
+        raise ConfigurationError(f"T/h may be at most {_MAX_STEPS} steps, got T={T}, h={h}")
+    M = round(ratio)
     if M < 1 or abs(M * h - T) > 1e-9 * max(1.0, abs(T)):
         raise ConfigurationError(f"T/h must be a positive integer, got T={T}, h={h}")
     return M

@@ -79,6 +79,15 @@ def test_bad_step_exit_2(model_file, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["analyze", "moments"]])
+def test_too_many_steps_exit_2(model_file, tmp_path, command):
+    code = main(
+        command + ["--model", str(model_file), "--out", str(tmp_path / "o"),
+                   "--T", "1e9", "--h", "1"]
+    )
+    assert code == 2
+
+
 def test_simulate_with_bounds_and_oracle(model_file, tmp_path):
     out = tmp_path / "o"
     code = main(
@@ -286,10 +295,12 @@ def test_sweep_bad_target_exit_2(model_file, tmp_path, target):
         ["simulate", "--x0", "abc"],
         ["sweep", "--param", "a[0]", "--values", "1,zz"],
         ["sweep", "--param", "a[0]", "--grid", "0:x:1"],
+        ["sweep", "--param", "a[0]", "--grid", "0:1e300:1e-300"],
+        ["sweep", "--param", "a[0]", "--grid", "0:1e9:1e-3"],
         ["classify", "--p-list", "2,q"],
         ["classify", "--p-list", ","],
     ],
-    ids=["x0", "values", "grid", "p-list", "p-list-blank"],
+    ids=["x0", "values", "grid", "grid-overflow", "grid-huge", "p-list", "p-list-blank"],
 )
 def test_bad_number_list_exit_2(model_file, tmp_path, argv):
     assert main(argv + ["--model", str(model_file), "--out", str(tmp_path / "o")]) == 2

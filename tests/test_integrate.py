@@ -1,5 +1,6 @@
 """Integrator: oracles, jump rule, pathwise comparison, divergence handling."""
 
+import gc
 import io
 import math
 
@@ -227,6 +228,35 @@ def test_nan_increment_is_hard_error():
     )
     with pytest.raises(IntegrationError):
         simulate_system(model, [1.0], bad)
+
+
+def test_kernels_leave_the_cyclic_collector_idle():
+    # The step loops keep only floats alive, so a long path triggers no
+    # collection; a list kept per slot would survive the whole path and set
+    # off collections that each walk the whole heap.
+    model = constant_model(3, a=1.0, b=1.0, sigma=0.3, gamma=0.2, weights=(1.0,))
+    path = sample_driving_path(model.marks, 40.0, 2.0**-9, 3)
+    uppers = [simulate_upper(model, i, 1.0, path) for i in range(3)]
+    calls = {
+        "system": lambda: simulate_system(model, [1.0, 1.0, 1.0], path),
+        "upper": lambda: simulate_upper(model, 0, 1.0, path),
+        "lower": lambda: simulate_lower(model, 1, 1.0, path, uppers),
+    }
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for name, call in calls.items():
+            started.clear()
+            call()
+            assert len(started) <= 1, (name, started)
+    finally:
+        gc.callbacks.remove(count)
 
 
 def test_invalid_model_is_rejected():

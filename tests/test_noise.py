@@ -16,6 +16,7 @@ from lvjumps import (
     sample_driving_path,
     save_path,
 )
+from lvjumps.analysis import default_checkpoints
 from lvjumps.errors import ConfigurationError
 from lvjumps.noise import KIND_GRID, KIND_LEFT, KIND_POST, derive_path_seed
 
@@ -126,6 +127,16 @@ def test_bad_time_grid_rejected():
         sample_driving_path(marks, -1.0, 0.5, 0)
     with pytest.raises(ConfigurationError):
         sample_driving_path(marks, 1.0, 0.5, 0, extra_times=(1.5,))
+
+
+def test_too_many_steps_rejected_before_allocation():
+    marks = MarkSpace((1.0,))
+    with pytest.raises(ConfigurationError):
+        sample_driving_path(marks, 1e9, 1.0, 0)
+    with pytest.raises(ConfigurationError):  # T/h overflows to inf
+        sample_driving_path(marks, 1e308, 1e-308, 0)
+    with pytest.raises(ConfigurationError):
+        default_checkpoints(1e9, 1.0)
 
 
 def test_coarsen_preserves_randomness():
