@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 
 import numpy as np
 from scipy import stats
@@ -24,7 +26,7 @@ from .closedform import explicit_logistic_log
 from .coefficients import Const
 from .conditions import compute_regime_report
 from .errors import ConfigurationError, PrerequisiteError
-from .integrate import Trajectory, _write_table, simulate_system, simulate_upper
+from .integrate import Trajectory, _batch_size, _simulate_paths, _write_table
 from .model import ModelSpec, as_initial_state
 from .noise import _steps_of, derive_path_seed, sample_driving_path
 
@@ -100,6 +102,15 @@ def _series_from_samples(checkpoints, samples, diverged) -> MCSeries:
     )
 
 
+def _kept(values):
+    """The per-path values of the paths that did not diverge (None marks one
+    that did), and the diverged count."""
+    kept = [v for v in values if v is not None]
+    if not kept:
+        raise PrerequisiteError("all paths diverged; nothing to estimate")
+    return kept, len(values) - len(kept)
+
+
 def _paths(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, offset: int = 0):
     """The seeded driving paths ``offset, ..., offset + n_paths - 1`` in order.
 
@@ -109,6 +120,30 @@ def _paths(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, offset
     extra = tuple(b for b in model.pwc_breakpoints() if 0.0 < b < T)
     for j in range(offset, offset + n_paths):
         yield sample_driving_path(model.marks, T, h, derive_path_seed(seed, j), extra_times=extra)
+
+
+def _per_path(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, runs):
+    """Integrate every seeded path once per run and reduce each trajectory.
+
+    Each run is ``(x0, species, reduce)``: the full system from ``x0`` when
+    ``species`` is None, else the upper system of ``species`` from the scalar
+    ``x0``.  Returns one list per run holding ``reduce(trajectory)`` for each
+    path in path order, or None where the path diverged.  The paths are drawn
+    once, in batches that every run integrates in turn, and a trajectory does
+    not depend on the batch it ran in.
+    """
+    width = max(model.n if species is None else 1 for _, species, _ in runs)
+    paths = _paths(model, T, h, n_paths, seed)
+    size = _batch_size(width, _steps_of(T, h) + 1)
+    out = [[] for _ in runs]
+    while batch := list(islice(paths, size)):
+        for values, (x0, species, reduce) in zip(out, runs):
+            values.extend(
+                None if traj.diverged else reduce(traj)
+                for traj in _simulate_paths(model, x0, batch, species)
+            )
+        batch.clear()  # release these paths before the next batch is drawn
+    return out
 
 
 def estimate_moment(
@@ -131,18 +166,12 @@ def estimate_moment(
         raise ValueError("p must be >= 0")
     state = as_initial_state(x0, model.n)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    samples = []
-    diverged = 0
-    for path in _paths(model, T, h, n_paths, seed):
-        traj = simulate_system(model, state, path)
-        if traj.diverged:
-            diverged += 1
-            continue
-        slots = _checkpoint_slots(traj.grid, checkpoints)
-        norms = traj.slot_norms()[slots]
-        samples.append(norms**p)
-    if not samples:
-        raise PrerequisiteError("all paths diverged; nothing to estimate")
+
+    def moment(traj):
+        return traj.slot_norms()[_checkpoint_slots(traj.grid, checkpoints)] ** p
+
+    (values,) = _per_path(model, T, h, n_paths, seed, [(state, None, moment)])
+    samples, diverged = _kept(values)
     return _series_from_samples(checkpoints, samples, diverged)
 
 
@@ -187,24 +216,22 @@ def lyapunov_functional_mc(
 ) -> FunctionalMC:
     """Monte Carlo mean of the growth functional against ``max_i sup a_i``."""
     state = as_initial_state(x0, model.n)
-    vals = []
-    diverged = 0
-    for path in _paths(model, T, h, n_paths, seed):
-        traj = simulate_system(model, state, path)
-        if traj.diverged:
-            diverged += 1
-            continue
-        vals.append(lyapunov_functional(traj, model))
-    if not vals:
-        raise PrerequisiteError("all paths diverged; nothing to estimate")
-    arr = np.asarray(vals)
+    functional = partial(lyapunov_functional, model=model)
+    (values,) = _per_path(model, T, h, n_paths, seed, [(state, None, functional)])
+    return _functional_mc(model, values)
+
+
+def _functional_mc(model: ModelSpec, values) -> FunctionalMC:
+    """:class:`FunctionalMC` from the per-path functional values (None: diverged)."""
+    kept, diverged = _kept(values)
+    arr = np.asarray(kept)
     se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     bound = max(f.supremum for f in model.a)
     return FunctionalMC(
         mean=float(arr.mean()),
         std_error=se,
         bound=bound,
-        n_paths=n_paths,
+        n_paths=len(values),
         diverged_count=diverged,
     )
 
@@ -254,24 +281,44 @@ def sample_lyapunov_mc(
 ) -> LyapunovMC:
     """Monte Carlo of the scalar upper solution's normalised log population."""
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    over_t, over_log, finals = [], [], []
-    diverged = 0
-    for path in _paths(model, T, h, n_paths, seed):
-        traj = simulate_upper(model, i, x0_i, path)
-        if traj.diverged:
-            diverged += 1
-            continue
-        series = sample_lyapunov(traj, 0, checkpoints)
-        over_t.append(series.log_over_t)
-        over_log.append(series.log_over_log_t)
-        finals.append(float(traj.values[0, -1]))
-    if not over_t:
-        raise PrerequisiteError("all paths diverged; nothing to estimate")
-    return LyapunovMC(
-        over_t=_series_from_samples(checkpoints, over_t, diverged),
-        over_log_t=_series_from_samples(checkpoints, over_log, diverged),
-        final_values=np.asarray(finals),
+    (values,) = _per_path(
+        model, T, h, n_paths, seed, [(x0_i, i, _exponents_at(checkpoints))]
     )
+    return _lyapunov_mc(checkpoints, values)
+
+
+def _exponents_at(checkpoints):
+    return lambda traj: (sample_lyapunov(traj, 0, checkpoints), float(traj.values[0, -1]))
+
+
+def _lyapunov_mc(checkpoints, values) -> LyapunovMC:
+    """:class:`LyapunovMC` from per-path ``(series, final value)`` pairs (None: diverged)."""
+    kept, diverged = _kept(values)
+    return LyapunovMC(
+        over_t=_series_from_samples(checkpoints, [s.log_over_t for s, _ in kept], diverged),
+        over_log_t=_series_from_samples(
+            checkpoints, [s.log_over_log_t for s, _ in kept], diverged
+        ),
+        final_values=np.asarray([final for _, final in kept]),
+    )
+
+
+def _lyapunov_and_functional(
+    model: ModelSpec, i: int, x0, T: float, h: float, n_paths: int, seed: int,
+    checkpoint_count: int,
+):
+    """:func:`sample_lyapunov_mc` for species ``i`` and the growth functional's
+    per-path values (for :func:`_functional_mc`), over one draw of the paths."""
+    checkpoints = default_checkpoints(T, h, checkpoint_count)
+    state = as_initial_state(x0, model.n)
+    upper, system = _per_path(
+        model, T, h, n_paths, seed,
+        [
+            (state.x0[i], i, _exponents_at(checkpoints)),
+            (state, None, partial(lyapunov_functional, model=model)),
+        ],
+    )
+    return _lyapunov_mc(checkpoints, upper), system
 
 
 def _require_positive_margin(model: ModelSpec, i: int) -> float:

@@ -212,13 +212,13 @@ def cmd_analyze(args) -> int:
             "pass": bounded,
         }
     elif which == "lyapunov":
-        mc = an.sample_lyapunov_mc(
-            model, i, x0[i], args.T, args.h, args.paths, args.seed,
-            checkpoint_count=args.checkpoints,
+        # one draw of the paths feeds the upper-system series and the functional
+        mc, functional = an._lyapunov_and_functional(
+            model, i, x0, args.T, args.h, args.paths, args.seed, args.checkpoints
         )
         with open(out / "lyapunov_over_t.csv", "w", encoding="utf-8") as fh:
             an.write_mc_csv(mc.over_t, fh)
-        func = an.lyapunov_functional_mc(model, x0, args.T, args.h, args.paths, args.seed)
+        func = an._functional_mc(model, functional)
         final_exponent = float(mc.over_t.mean[-1])
         verdict = {
             "which": which,

@@ -25,6 +25,15 @@ state is appended to one flat list that becomes the trajectory array at the
 end.  A list per slot or per table row would survive the whole path, and
 thousands of such survivors make CPython's cyclic garbage collector run full
 collections over the whole heap, which cost more than the arithmetic.
+
+The Monte Carlo estimators advance their paths in batches instead
+(:func:`_simulate_paths`): one step moves every path of the batch over its
+own next interval on (species, paths) arrays, so the per-step interpreter
+work is shared by the batch.  The arithmetic is the single-path kernels',
+operation for operation and elementwise, so each path gets the same bits as
+from :func:`simulate_system` or :func:`simulate_upper`, whatever the batch.
+States still go through libm's ``math.exp`` and ``math.log`` value by value:
+numpy's vectorised ``exp`` and ``log`` round differently on some inputs.
 """
 
 from __future__ import annotations
@@ -88,31 +97,36 @@ class Trajectory:
         return np.sqrt(np.sum(self.values * self.values, axis=0))
 
 
-def _tabulate(model: ModelSpec, grid: MergedGrid, path: DrivingPath, rows, cols):
-    """Left-endpoint coefficient values per interval, plus jump factors.
+def _tabulate(model: ModelSpec, t_left, rows, cols):
+    """Coefficient values at the left endpoints ``t_left`` of the intervals.
 
+    ``t_left`` has shape (L,) for one path or (L, P) for a batch of paths.
     For species ``rows`` this returns ``a`` and ``sigma`` with shape
-    (intervals, rows), the Ito-plus-compensator correction
-    ``sigma^2/2 + sum_k w_k gamma_k`` of the same shape, the interactions
-    ``B[row][col]`` with shape (intervals, rows, cols), and per jump the list of
-    factors ``1 + gamma_row(tau)``.
+    (L, rows, ...), the Ito-plus-compensator correction
+    ``sigma^2/2 + sum_k w_k gamma_k`` of the same shape, and the interactions
+    ``B[row][col]`` with shape (L, rows, cols, ...), where ``...`` is
+    ``t_left``'s trailing shape.  Every value is computed elementwise, so a
+    time gets the same bits whatever the shape it is evaluated in.
     """
-    t_left = grid.times[:-1]
     weights = model.marks.weights
     a_vals = np.stack([np.asarray(model.a[i](t_left), dtype=float) for i in rows], axis=1)
     sig_vals = np.stack([np.asarray(model.sigma[i](t_left), dtype=float) for i in rows], axis=1)
     corr = 0.5 * sig_vals**2
-    B_vals = np.empty((len(t_left), len(rows), len(cols)))
+    B_vals = np.empty((len(t_left), len(rows), len(cols)) + t_left.shape[1:])
     for r, i in enumerate(rows):
         for k in range(model.mark_count):
             corr[:, r] += weights[k] * np.asarray(model.gamma[i][k](t_left), dtype=float)
         for c, j in enumerate(cols):
             B_vals[:, r, c] = model.B[i][j](t_left)
-    jump_factors = [
+    return a_vals, B_vals, sig_vals, corr
+
+
+def _jump_factors(model: ModelSpec, path: DrivingPath, rows):
+    """Per jump of ``path``, the factors ``1 + gamma_row(tau)`` of species ``rows``."""
+    return [
         [1.0 + float(model.gamma[i][int(mark)](float(tau))) for i in rows]
         for tau, mark in zip(path.jump_times, path.jump_marks)
     ]
-    return a_vals, B_vals, sig_vals, corr, jump_factors
 
 
 def _walk_slots(grid: MergedGrid):
@@ -127,7 +141,7 @@ def _jump(x, factors, t):
     bad = False
     for v in nxt:
         if v != v:
-            raise IntegrationError(f"NaN state at t={t!r}")
+            raise IntegrationError(f"NaN state at t={float(t)!r}")
         if not (v > 0.0) or not (LOG_LOW < math.log(v) < LOG_HIGH):
             bad = True
     return None if bad else nxt
@@ -172,15 +186,18 @@ def simulate_system(model: ModelSpec, x0, path: DrivingPath) -> Trajectory:
     if model.n == 1:
         return _self_regulated(model, grid, path, 0, state.x0[0])
     species = range(model.n)
-    return _run_vector(grid, path, state, *_tabulate(model, grid, path, species, species))
+    return _run_vector(
+        grid, path, state, *_tabulate(model, grid.times[:-1], species, species),
+        _jump_factors(model, path, species),
+    )
 
 
 def _self_regulated(model, grid, path, i, x0_i):
     """Species ``i`` with the drift ``a_i - b_ii X_i`` only."""
-    a_vals, B_vals, sig_vals, corr, jf = _tabulate(model, grid, path, [i], [i])
+    a_vals, B_vals, sig_vals, corr = _tabulate(model, grid.times[:-1], [i], [i])
     return _run_scalar(
         grid, path, math.log(float(x0_i)), a_vals[:, 0], B_vals[:, 0, 0],
-        sig_vals[:, 0], corr[:, 0], jf,
+        sig_vals[:, 0], corr[:, 0], _jump_factors(model, path, [i]),
     )
 
 
@@ -216,7 +233,7 @@ def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors)
             if not (LOG_LOW < v < LOG_HIGH):
                 bad = True
             if v != v:
-                raise IntegrationError(f"NaN state at t={grid.times[l + 1]!r}")
+                raise IntegrationError(f"NaN state at t={float(grid.times[l + 1])!r}")
         if bad:
             diverged_at = float(grid.times[l + 1])
             break
@@ -233,7 +250,7 @@ def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors)
     return _finish(grid, flat, n, diverged_at)
 
 
-def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=()):
+def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=(), steps=None):
     """Width-1 kernel: one species against frozen competitors.
 
     The interaction sum is ``b_own * z`` plus, in order, the terms
@@ -242,7 +259,9 @@ def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=())
     systems have none), which reproduces the full-system kernel's rounding
     term for term.  When the frozen competitors coincide with the full state
     the float arithmetic coincides too, and the pathwise ordering cannot be
-    broken by rounding.
+    broken by rounding.  With ``steps`` set, only the first ``steps``
+    intervals are integrated and the path is flagged diverged at the next
+    node.
     """
     dt = np.diff(grid.times).tolist()
     dw = path.node_increments.tolist()
@@ -253,14 +272,16 @@ def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=())
     z = math.exp(logz)
     flat = [z]
     diverged_at = None
-    for l in range(len(dt)):
+    if steps is None:
+        steps = len(dt)
+    for l in range(steps):
         acc = b_own[l] * z
         if width:
             for m in range(l * width, (l + 1) * width):
                 acc += others[m]
         logz += (a[l] - acc - corr[l]) * dt[l] + sig[l] * dw[l]
         if logz != logz:
-            raise IntegrationError(f"NaN state at t={grid.times[l + 1]!r}")
+            raise IntegrationError(f"NaN state at t={float(grid.times[l + 1])!r}")
         if not (LOG_LOW < logz < LOG_HIGH):
             diverged_at = float(grid.times[l + 1])
             break
@@ -274,7 +295,177 @@ def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=())
             z = nxt[0]
             logz = math.log(z)
             flat.append(z)
+    if diverged_at is None and steps < len(dt):
+        diverged_at = float(grid.times[steps + 1])
     return _finish(grid, flat, 1, diverged_at)
+
+
+# Monte Carlo batches: at most this many paths advance together, and a batch
+# stores at most about this many node states (species x nodes x paths), so a
+# long horizon shrinks the batch.  The coefficients are tabulated this many
+# intervals at a time.
+_BATCH_PATHS = 64
+_BATCH_STATES = 2**21
+_BLOCK = 128
+
+
+def _batch_size(width: int, nodes: int) -> int:
+    """Paths per batch for ``width`` species on paths of about ``nodes`` nodes."""
+    return max(1, min(_BATCH_PATHS, _BATCH_STATES // (width * nodes)))
+
+
+def _simulate_paths(model: ModelSpec, x0, paths, species=None):
+    """Trajectories of the driving ``paths``, all advanced together.
+
+    With ``species`` None this is the full system from the initial state
+    ``x0``, otherwise the upper system of species ``species`` from the scalar
+    ``x0``.  Each trajectory, in the order of ``paths``, is bit for bit the
+    one :func:`simulate_system` or :func:`simulate_upper` gives for that path
+    alone; see :func:`_run_batch`.
+    """
+    if species is None:
+        require_valid(model)
+        rows = range(model.n)
+        logx0 = [math.log(v) for v in as_initial_state(x0, model.n).x0]
+    else:
+        _check_species(model, species, x0)
+        rows = [species]
+        logx0 = [math.log(float(x0))]
+    return _run_batch(model, rows, logx0, paths)
+
+
+def _run_batch(model, rows, logx0, paths):
+    """Kernel over a batch: the state of path ``p`` is column ``p`` of (n, P) arrays.
+
+    Step ``l`` advances every path over its own interval ``l`` with the
+    arithmetic of :func:`_run_vector`, in the same order: ``acc`` sums
+    ``b_ij x_j`` over ``j`` ascending, the drift is ``(a - acc - c) dt + s dW``,
+    ``exp`` is libm's, applied value by value, and jumps go through
+    :func:`_jump`.  Every operation is elementwise, so a path gets the same
+    bits in any batch.  A path that has ended (past its last node) or left
+    the log window is retired: its state is reset to log 0 and its remaining
+    ``dt``, ``dW`` and jumps are zero, so it stays put and cannot leave the
+    window again.  The kernel stores each node's pre-jump state; the
+    post-jump state is that times the jump factors, as :func:`_jump` computes
+    it.
+    """
+    n, P = len(rows), len(paths)
+    times = [path.node_times for path in paths]
+    ends = [len(t) - 1 for t in times]
+    factors = [
+        np.array(_jump_factors(model, path, rows), dtype=float).reshape(-1, n) for path in paths
+    ]
+    jumps_at = (
+        np.concatenate([np.searchsorted(t, path.jump_times) for t, path in zip(times, paths)]),
+        np.repeat(np.arange(P), [path.jump_count for path in paths]),
+        np.concatenate(factors),
+    )
+    finishing = {}
+    for p, end in enumerate(ends):
+        finishing.setdefault(end - 1, []).append(p)
+    live = np.ones(P, dtype=bool)
+    stops = [None] * P  # (node, whether its pre-jump state was stored) where a path left
+    logx = np.repeat(np.asarray(logx0)[:, None], P, axis=1)
+    x = np.fromiter(map(math.exp, logx.ravel().tolist()), float, n * P).reshape(n, P)
+    store = np.empty((max(ends) + 1, n, P))
+    store[0] = x
+
+    def retire(p, r):
+        """Path ``p`` leaves the batch after block row ``r``."""
+        live[p] = False
+        logx[:, p] = 0.0
+        x[:, p] = 1.0
+        dt[r + 1 :, p] = 0.0
+        sdw[r + 1 :, :, p] = 0.0
+        jumps[r + 1 :, p] = False
+
+    for l0 in range(0, len(store) - 1, _BLOCK):
+        a, B, corr, dt, sdw, jumps, jump_f = _block(model, rows, paths, ends, live, jumps_at, l0)
+        any_jump = jumps.any(axis=1).tolist()
+        for r in range(len(dt)):
+            l = l0 + r
+            Br = B[r]
+            acc = Br[:, 0] * x[0]
+            for j in range(1, n):
+                acc += Br[:, j] * x[j]
+            drift = a[r] - acc
+            drift -= corr[r]
+            drift *= dt[r]
+            drift += sdw[r]
+            logx += drift
+            if not (LOG_LOW < logx.min() and logx.max() < LOG_HIGH):
+                if np.isnan(logx).any():
+                    p = int(np.flatnonzero(np.isnan(logx).any(axis=0))[0])
+                    raise IntegrationError(f"NaN state at t={float(times[p][l + 1])!r}")
+                inside = ((LOG_LOW < logx) & (logx < LOG_HIGH)).all(axis=0)
+                for p in np.flatnonzero(~inside).tolist():
+                    stops[p] = (l + 1, False)
+                    retire(p, r)
+            x = np.fromiter(map(math.exp, logx.ravel().tolist()), float, n * P).reshape(n, P)
+            store[l + 1] = x
+            if any_jump[r]:
+                for p in jumps[r].nonzero()[0].tolist():
+                    nxt = _jump(x[:, p].tolist(), jump_f[r, :, p].tolist(), times[p][l + 1])
+                    if nxt is None:
+                        stops[p] = (l + 1, True)
+                        retire(p, r)
+                    else:
+                        x[:, p] = nxt
+                        logx[:, p] = [math.log(v) for v in nxt]
+            for p in finishing.get(l, ()):
+                retire(p, r)
+        # free this block's tables before the next block's are built
+        del a, B, corr, dt, sdw, jumps, jump_f
+
+    for p, path in enumerate(paths):
+        yield _from_nodes(path, store[: ends[p] + 1, :, p], factors[p], stops[p])
+
+
+def _block(model, rows, paths, ends, live, jumps_at, l0):
+    """Inputs of the batch's intervals ``l0, l0 + 1, ...``, at most ``_BLOCK`` of them.
+
+    Returns the coefficient tables of :func:`_tabulate` (without sigma),
+    ``dt``, ``sigma * dW``, the jump mask and the jump factors, each with
+    a leading row per interval and a trailing column per path.  A path that
+    has ended or left the batch gets ``dt = dW = 0``, no jumps and
+    coefficients evaluated at its final time.  ``jumps_at`` holds every jump
+    of the batch as node, path and factors.
+    """
+    n, P = len(rows), len(paths)
+    size = min(_BLOCK, max(ends) - l0)
+    nodes = np.empty((size + 1, P))
+    dw = np.zeros((size, P))
+    for p, path in enumerate(paths):
+        t = path.node_times
+        k = min(ends[p] - l0, size) if live[p] else -1
+        nodes[: k + 1, p] = t[l0 : l0 + k + 1]
+        nodes[k + 1 :, p] = t[-1]
+        dw[: max(k, 0), p] = path.node_increments[l0 : l0 + k]
+    node, path_of, factors = jumps_at
+    here = (node > l0) & (node <= l0 + size) & live[path_of]
+    jumps = np.zeros((size, P), dtype=bool)
+    jumps[node[here] - l0 - 1, path_of[here]] = True
+    jump_f = np.ones((size, n, P))
+    jump_f[node[here] - l0 - 1, :, path_of[here]] = factors[here]
+    a, B, sig, corr = _tabulate(model, nodes[:-1], rows, rows)
+    return a, B, corr, nodes[1:] - nodes[:-1], sig * dw[:, None, :], jumps, jump_f
+
+
+def _from_nodes(path, left, factors, stop):
+    """Trajectory from the pre-jump node states ``left`` (nodes, n) of one path."""
+    grid = merge_grid(path)
+    values = np.empty((left.shape[1], grid.n_slots))
+    values[:, grid.node_first_slot] = left.T
+    jumped = np.flatnonzero(grid.is_jump)
+    values[:, grid.node_first_slot[jumped] + 1] = (left[jumped] * factors).T
+    diverged_at = None
+    if stop is not None:
+        node, stored = stop
+        values[:, grid.node_first_slot[node] + stored :] = np.nan
+        diverged_at = float(grid.times[node])
+    return Trajectory(
+        grid=grid, values=values, diverged=stop is not None, diverged_at=diverged_at
+    )
 
 
 def simulate_upper(model: ModelSpec, i: int, x0_i: float, path: DrivingPath) -> Trajectory:
@@ -301,6 +492,11 @@ def simulate_lower(
     solutions, ``a_i(t) - sum_{j != i} b_ij(t) Y_j(t)``; everything else
     matches :func:`simulate_upper`.
 
+    Where a competitor's upper solution has diverged, its value is NaN and
+    the lower solution cannot be computed beyond that node: it is returned
+    flagged diverged at the first node it cannot compute, with NaN slots from
+    there on.
+
     Args:
         uppers: sequence of n single-species trajectories on the same grid
             (entry ``i`` may be None, it is not used).
@@ -321,7 +517,7 @@ def simulate_lower(
         if traj is None or not traj.grid.same_nodes(grid):
             raise GridMismatchError("upper trajectories must share the path's grid")
         frozen[:, j] = traj.values[0, start_slots]
-    a_vals, B_vals, sig_vals, corr, jf = _tabulate(model, grid, path, [i], range(model.n))
+    a_vals, B_vals, sig_vals, corr = _tabulate(model, grid.times[:-1], [i], range(model.n))
     # The full-system kernel sums b_ij x_j over j in order.  Here the terms
     # before the own column are summed up front into one head term, and the
     # own term goes first: float addition commutes (b z + head == head + b z),
@@ -333,9 +529,11 @@ def simulate_lower(
         for j in range(i):
             head += pressure[:, j]
         others = np.column_stack((head, others))
+    unknown = np.flatnonzero(np.isnan(frozen).any(axis=1))
     return _run_scalar(
         grid, path, math.log(float(x0_i)), a_vals[:, 0], B_vals[:, 0, i],
-        sig_vals[:, 0], corr[:, 0], jf, others.ravel().tolist(),
+        sig_vals[:, 0], corr[:, 0], _jump_factors(model, path, [i]), others.ravel().tolist(),
+        steps=int(unknown[0]) if len(unknown) else None,
     )
 
 

@@ -29,6 +29,8 @@ from lvjumps.analysis import (
     terminal_sample,
     write_mc_csv,
 )
+from lvjumps import integrate
+from lvjumps.analysis import _paths
 from lvjumps.errors import PrerequisiteError
 from lvjumps.integrate import simulate_system
 
@@ -213,3 +215,59 @@ def test_mc_series_rejects_nan_standard_error():
     # an undefined checkpoint (NaN mean) carries a NaN standard error
     MCSeries(checkpoints=t, mean=np.array([np.nan, 1.0]), std_error=np.array([np.nan, 0.1]),
              n_paths=2)
+
+
+def estimates(model, x0, T, h, n_paths, seed):
+    return (
+        lyapunov_functional_mc(model, x0, T, h, n_paths, seed),
+        estimate_moment(model, x0, 1.5, T, h, n_paths, seed, checkpoint_count=7),
+        sample_lyapunov_mc(model, 1, x0[1], T, h, n_paths, seed, checkpoint_count=7),
+    )
+
+
+def test_batched_estimators_match_single_path_kernels():
+    # the estimators run their paths through the batched kernel; reducing
+    # simulate_system / simulate_upper trajectories path by path must give
+    # the same bytes
+    model = constant_model(
+        2, a=(1.5, 1.0), b=[[1.0, 0.3], [0.2, 0.8]], sigma=(0.5, 0.4),
+        gamma=((0.3,), (-0.4,)), weights=(1.0,),
+    )
+    x0, T, h, n_paths, seed = [1.0, 0.7], 4.0, 2.0**-6, 70, 12
+    func, moment, lyap = estimates(model, x0, T, h, n_paths, seed)
+    checkpoints = default_checkpoints(T, h, 7)
+    values, norms, over_t, over_log, finals = [], [], [], [], []
+    for path in _paths(model, T, h, n_paths, seed):
+        traj = simulate_system(model, x0, path)
+        values.append(lyapunov_functional(traj, model))
+        norms.append(traj.slot_norms()[[traj.grid.slot_at(t) for t in checkpoints]] ** 1.5)
+        upper = simulate_upper(model, 1, x0[1], path)
+        series = sample_lyapunov(upper, 0, checkpoints)
+        over_t.append(series.log_over_t)
+        over_log.append(series.log_over_log_t)
+        finals.append(upper.values[0, -1])
+    values = np.asarray(values)
+    assert func.mean == float(values.mean())
+    assert func.std_error == float(values.std(ddof=1) / math.sqrt(n_paths))
+    assert (func.n_paths, func.diverged_count) == (n_paths, 0)
+    assert np.array_equal(moment.mean, np.mean(norms, axis=0))
+    assert np.array_equal(moment.std_error, np.std(norms, axis=0, ddof=1) / math.sqrt(n_paths))
+    assert np.array_equal(lyap.over_t.mean, np.mean(over_t, axis=0))
+    assert np.array_equal(lyap.over_log_t.mean, np.mean(over_log, axis=0), equal_nan=True)
+    assert np.array_equal(lyap.final_values, np.asarray(finals))
+
+
+def test_batch_size_never_changes_an_estimate(monkeypatch):
+    model = constant_model(
+        2, a=(1.2, 0.9), b=[[1.0, 0.4], [0.3, 0.8]], sigma=(0.5, 0.6),
+        gamma=((0.4,), (-0.3,)), weights=(1.5,),
+    )
+    args = (model, [0.8, 1.3], 3.0, 2.0**-6, 23, 5)
+    reference = estimates(*args)
+    for size in (1, 4, 7):
+        monkeypatch.setattr(integrate, "_BATCH_PATHS", size)
+        again = estimates(*args)
+        assert again[0] == reference[0]
+        for got, want in ((again[1], reference[1]), (again[2].over_t, reference[2].over_t)):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.std_error, want.std_error)

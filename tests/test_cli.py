@@ -211,6 +211,31 @@ def test_analyze_moments_writes_verdict(model_file, tmp_path):
     assert (out / "moments_p2.csv").exists()
 
 
+def test_analyze_lyapunov_draws_each_path_once(model_file, tmp_path, monkeypatch):
+    import lvjumps.analysis as an
+
+    seeds = []
+    draw = an.sample_driving_path
+
+    def counted(marks, T, h, seed, extra_times=()):
+        seeds.append(seed)
+        return draw(marks, T, h, seed, extra_times=extra_times)
+
+    monkeypatch.setattr(an, "sample_driving_path", counted)
+    out = tmp_path / "o"
+    code = main(
+        ["analyze", "lyapunov", "--model", str(model_file), "--out", str(out),
+         "--T", "4", "--h", "0.0625", "--paths", "5", "--seed", "3"]
+    )
+    assert code == 0
+    assert len(seeds) == 5 and len(set(seeds)) == 5
+    verdict = json.loads((out / "analyze_lyapunov.json").read_text())
+    mc = an.sample_lyapunov_mc(load_model(model_file), 0, 1.0, 4.0, 0.0625, 5, 3)
+    func = an.lyapunov_functional_mc(load_model(model_file), [1.0], 4.0, 0.0625, 5, 3)
+    assert verdict["final_log_over_t_mean"] == float(mc.over_t.mean[-1])
+    assert verdict["functional_mean"] == func.mean
+
+
 def test_analyze_zero_checkpoints_exit_2(model_file, tmp_path):
     code = main(
         ["analyze", "moments", "--model", str(model_file), "--out", str(tmp_path / "o"),

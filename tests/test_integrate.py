@@ -16,9 +16,38 @@ from lvjumps import (
     simulate_upper,
     write_trajectory_csv,
 )
+from lvjumps.analysis import lyapunov_functional_mc
 from lvjumps.errors import DomainError, GridMismatchError, IntegrationError
+from lvjumps.integrate import _simulate_paths
 from lvjumps.noise import DrivingPath
 from conftest import random_valid_model, random_x0
+
+
+def assert_same_trajectory(got, want):
+    assert got.diverged == want.diverged
+    assert got.diverged_at == want.diverged_at
+    assert got.grid.same_nodes(want.grid)
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(got.values, want.values, equal_nan=True)
+
+
+def diverging_model(n):
+    """Species 0 has sigma = 40, so its upper solution leaves the log window."""
+    return constant_model(
+        n, a=1.0, b=1.0, sigma=(40.0,) + (0.3,) * (n - 1) if n > 1 else 40.0,
+        gamma=0.3, weights=(2.0,),
+    )
+
+
+def with_nan_increment(path, at):
+    incs = path.node_increments.copy()
+    incs[at] = np.nan
+    return DrivingPath(
+        T=path.T, h=path.h, seed=path.seed, mark_count=path.mark_count,
+        node_times=path.node_times, node_increments=incs,
+        jump_times=path.jump_times, jump_marks=path.jump_marks,
+        extra_times=path.extra_times, rng_algorithm_id="manual",
+    )
 
 
 def exact_logistic(a, b, x0, t):
@@ -217,23 +246,122 @@ def test_strongly_dying_path_flags_divergence():
 
 def test_nan_increment_is_hard_error():
     model = constant_model(1, a=1.0, b=1.0, sigma=0.5)
-    clean = sample_driving_path(model.marks, 1.0, 0.25, 1)
-    incs = clean.node_increments.copy()
-    incs[1] = np.nan
-    bad = DrivingPath(
-        T=clean.T, h=clean.h, seed=clean.seed, mark_count=0,
-        node_times=clean.node_times, node_increments=incs,
-        jump_times=clean.jump_times, jump_marks=clean.jump_marks,
-        extra_times=clean.extra_times, rng_algorithm_id="manual",
-    )
+    bad = with_nan_increment(sample_driving_path(model.marks, 1.0, 0.25, 1), 1)
     with pytest.raises(IntegrationError):
         simulate_system(model, [1.0], bad)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_nan_error_names_the_time_as_a_plain_float(n):
+    # the NaN appears over the interval [0.25, 0.5], so at node t = 0.5
+    model = constant_model(n, a=1.0, b=1.0, sigma=0.5)
+    bad = with_nan_increment(sample_driving_path(model.marks, 1.0, 0.25, 1), 1)
+    calls = [
+        lambda: simulate_system(model, [1.0] * n, bad),
+        lambda: simulate_upper(model, 0, 1.0, bad),
+        lambda: list(_simulate_paths(model, [1.0] * n, [bad])),
+    ]
+    for call in calls:
+        with pytest.raises(IntegrationError) as err:
+            call()
+        assert str(err.value) == "NaN state at t=0.5"
+
+
+def test_batched_kernel_matches_single_path_kernels():
+    # the batched Monte Carlo kernel must give every path the bytes of
+    # simulate_system / simulate_upper, NaN slots and divergence included
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(40):
+        model = random_valid_model(rng)
+        x0 = random_x0(rng, model.n)
+        extra = tuple(b for b in model.pwc_breakpoints() if 0 < b < 3.0)
+        paths = [
+            sample_driving_path(model.marks, 3.0, 2.0**-8, int(rng.integers(1 << 31)),
+                                extra_times=extra)
+            for _ in range(5)
+        ]
+        for path, traj in zip(paths, _simulate_paths(model, x0, paths)):
+            assert_same_trajectory(traj, simulate_system(model, x0, path))
+            checked += 1
+        for i in range(model.n):
+            for path, traj in zip(paths, _simulate_paths(model, x0[i], paths, species=i)):
+                assert_same_trajectory(traj, simulate_upper(model, i, x0[i], path))
+                checked += 1
+    assert checked > 400
+    # at h = 2^-5 one tabulation block spans 4 time units: a path that has
+    # left the window would leave it again within the block if it moved on
+    diverged = 0
+    for n, h in ((1, 2.0**-8), (2, 2.0**-8), (3, 2.0**-8), (2, 2.0**-5)):
+        model = diverging_model(n)
+        paths = [sample_driving_path(model.marks, 5.0, h, seed) for seed in range(4)]
+        for path, traj in zip(paths, _simulate_paths(model, [1.0] * n, paths)):
+            assert_same_trajectory(traj, simulate_system(model, [1.0] * n, path))
+            diverged += traj.diverged
+        for path, traj in zip(paths, _simulate_paths(model, 1.0, paths, species=0)):
+            assert_same_trajectory(traj, simulate_upper(model, 0, 1.0, path))
+            diverged += traj.diverged
+    assert diverged == 32
+
+
+def test_batched_kernel_handles_paths_of_different_lengths():
+    model = constant_model(
+        2, a=(1.2, 0.9), b=[[1.0, 0.4], [0.3, 0.8]], sigma=(0.5, 0.6),
+        gamma=((0.4,), (-0.3,)), weights=(3.0,),
+    )
+    paths = [sample_driving_path(model.marks, 4.0, 2.0**-6, seed) for seed in range(6)]
+    assert len({len(p.node_times) for p in paths}) > 3
+    for path, traj in zip(paths, _simulate_paths(model, [0.8, 1.3], paths)):
+        assert not traj.diverged
+        assert_same_trajectory(traj, simulate_system(model, [0.8, 1.3], path))
+
+
+def test_a_path_gets_the_same_bytes_alone_and_in_a_batch_of_257():
+    model = constant_model(
+        2, a=(1.2, 0.9), b=[[1.0, 0.4], [0.3, 0.8]], sigma=(0.5, 0.6),
+        gamma=((0.4,), (-0.3,)), weights=(1.0,),
+    )
+    paths = [sample_driving_path(model.marks, 2.0, 2.0**-6, seed) for seed in range(257)]
+    for k in (0, 128, 256):
+        (alone,) = _simulate_paths(model, [0.8, 1.3], [paths[k]])
+        among = list(_simulate_paths(model, [0.8, 1.3], paths))[k]
+        assert_same_trajectory(alone, among)
+
+
+def test_nan_increment_in_one_path_of_a_batch_is_hard_error():
+    model = constant_model(2, a=1.0, b=[[1.0, 0.2], [0.1, 1.0]], sigma=0.5)
+    paths = [sample_driving_path(model.marks, 1.0, 0.25, seed) for seed in range(5)]
+    paths[3] = with_nan_increment(paths[3], 2)
+    with pytest.raises(IntegrationError, match="NaN state at t=0.75"):
+        list(_simulate_paths(model, [1.0, 1.0], paths))
+
+
+@pytest.mark.parametrize("seed, cut", [(0, 0.910), (1, 0.961), (2, 0.891), (3, 1.023)])
+def test_lower_flags_divergence_where_a_competitor_upper_diverged(seed, cut):
+    # species 0's upper solution leaves the log window; species 1's lower
+    # system needs it as frozen competitor, so it cannot be computed beyond
+    # the next node and is flagged diverged there instead of raising
+    model = diverging_model(2)
+    path = sample_driving_path(model.marks, 5.0, 2.0**-8, seed)
+    uppers = [simulate_upper(model, i, 1.0, path) for i in range(2)]
+    assert uppers[0].diverged
+    lower = simulate_lower(model, 1, 1.0, path, uppers)
+    grid = lower.grid
+    first_unknown = int(np.flatnonzero(np.isnan(uppers[0].values[0, grid.interval_start_slots()]))[0])
+    assert lower.diverged
+    assert lower.diverged_at == float(grid.times[first_unknown + 1])
+    assert round(lower.diverged_at, 3) == cut
+    stop = grid.node_first_slot[first_unknown + 1]
+    assert np.all(lower.values[0, :stop] > 0)
+    assert np.all(np.isnan(lower.values[0, stop:]))
+    assert np.all(lower.values[0, :stop] <= uppers[1].values[0, :stop])
 
 
 def test_kernels_leave_the_cyclic_collector_idle():
     # The step loops keep only floats alive, so a long path triggers no
     # collection; a list kept per slot would survive the whole path and set
-    # off collections that each walk the whole heap.
+    # off collections that each walk the whole heap.  The batched kernel
+    # behind the Monte Carlo estimators keeps its states in arrays.
     model = constant_model(3, a=1.0, b=1.0, sigma=0.3, gamma=0.2, weights=(1.0,))
     path = sample_driving_path(model.marks, 40.0, 2.0**-9, 3)
     uppers = [simulate_upper(model, i, 1.0, path) for i in range(3)]
@@ -241,6 +369,7 @@ def test_kernels_leave_the_cyclic_collector_idle():
         "system": lambda: simulate_system(model, [1.0, 1.0, 1.0], path),
         "upper": lambda: simulate_upper(model, 0, 1.0, path),
         "lower": lambda: simulate_lower(model, 1, 1.0, path, uppers),
+        "batched": lambda: lyapunov_functional_mc(model, [1.0, 1.0, 1.0], 10.0, 2.0**-7, 100, 3),
     }
     started = []
 
