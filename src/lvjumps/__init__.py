@@ -44,7 +44,6 @@ from .closedform import (
     explicit_logistic,
     explicit_logistic_log,
     fundamental_solution,
-    lower_growth_override,
     voc_solve,
 )
 from .conditions import (

@@ -99,6 +99,19 @@ def _x0_list(args, n) -> list[float]:
     return vals
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigurationError(message)
+
+
+def _check_positive_start(value: float, flag: str) -> None:
+    """An initial value must be positive and finite, and so must its reciprocal."""
+    _require(
+        value > 0 and math.isfinite(value) and math.isfinite(1.0 / value),
+        f"{flag} must be positive and finite with a finite reciprocal, got {value!r}",
+    )
+
+
 def cmd_validate(args) -> int:
     out = _outdir(args)
     model = _load(args)
@@ -109,6 +122,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _require(args.seed >= 0, "--seed must be >= 0")
+    tol = args.oracle_tol
+    _require(math.isfinite(tol) and tol >= 0, f"--oracle-tol must be finite and >= 0, got {tol!r}")
     out = _outdir(args)
     model = _load(args)
     if args.with_oracle and model.n != 1:
@@ -178,6 +194,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _require(args.seed >= 0, "--seed must be >= 0")
+    _require(math.isfinite(args.p) and args.p >= 0, f"--p must be finite and >= 0, got {args.p!r}")
+    _check_positive_start(args.x, "--x")
+    _check_positive_start(args.y, "--y")
     out = _outdir(args)
     model = _load(args)
     report = validate_model(model)
@@ -193,6 +213,8 @@ def cmd_analyze(args) -> int:
     which = args.which
     verdict: dict
     if which == "moments":
+        first = an.default_checkpoints(args.T, args.h, args.checkpoints)[0]
+        _require(first <= args.T / 2, "analyze moments needs a checkpoint at or before T/2")
         series = an.estimate_moment(
             model, x0, args.p, args.T, args.h, args.paths, args.seed,
             checkpoint_count=args.checkpoints,

@@ -45,8 +45,6 @@ __all__ = [
     "voc_solve",
     "explicit_logistic",
     "explicit_logistic_log",
-    "lower_growth_override",
-    "coefficient_slot_values",
 ]
 
 
@@ -101,20 +99,6 @@ def _check_H(H) -> None:
             )
 
 
-def coefficient_slot_values(f: CoefficientFn, grid: MergedGrid) -> np.ndarray:
-    """Evaluate a coefficient on every slot, with left limits on left slots."""
-    vals = np.asarray(f(grid.slot_times), dtype=float)
-    left = grid.slot_kinds == KIND_LEFT
-    if np.any(left):
-        vals[left] = np.asarray(f.value_left(grid.slot_times[left]), dtype=float)
-    return vals
-
-
-def _node_of_slot(grid: MergedGrid) -> np.ndarray:
-    reps = 1 + grid.is_jump.astype(np.int64)
-    return np.repeat(np.arange(grid.n_nodes), reps)
-
-
 def _jump_log_factors(H, path: DrivingPath, grid: MergedGrid):
     """Per-node ln(1+H) contribution (0 off jump nodes) and its cumulatives."""
     add = np.zeros(grid.n_nodes)
@@ -130,12 +114,11 @@ def _jump_log_factors(H, path: DrivingPath, grid: MergedGrid):
     return before, incl
 
 
-def _log_phi_nodes(F_like, G, H, marks, path: DrivingPath, grid: MergedGrid):
-    """Continuous part of ln Phi at nodes, plus jump cumulatives.
+def _log_phi(F_like, G, H, marks, path: DrivingPath, grid: MergedGrid) -> np.ndarray:
+    """ln Phi on the slots of ``grid``.
 
-    Returns ``(cont, before, incl)`` where ``cont[l]`` is the deterministic
-    plus Brownian exponent at node ``l`` and ``before``/``incl`` are the jump
-    sums excluding/including an event at the node itself.
+    At node ``l`` it is the deterministic plus Brownian exponent plus the jump
+    sum, which includes an event at the node itself on the post-jump slot only.
     """
     _check_H(H)
     times = grid.times
@@ -159,16 +142,9 @@ def _log_phi_nodes(F_like, G, H, marks, path: DrivingPath, grid: MergedGrid):
     g_left = np.asarray(G(times[:-1]), dtype=float)
     mart = np.concatenate(([0.0], np.cumsum(g_left * path.node_increments)))
 
+    cont = det + mart
     before, incl = _jump_log_factors(H, path, grid)
-    return det + mart, before, incl
-
-
-def _nodes_to_slots(grid: MergedGrid, cont, before, incl) -> np.ndarray:
-    out = np.empty(grid.n_slots)
-    out[grid.node_first_slot] = cont + before
-    post = grid.node_first_slot[grid.is_jump] + 1
-    out[post] = (cont + incl)[grid.is_jump]
-    return out
+    return grid.on_slots(cont + before, (cont + incl)[grid.is_jump])
 
 
 def fundamental_solution(sde: LinearJumpSDE, path: DrivingPath) -> PathSeries:
@@ -178,8 +154,7 @@ def fundamental_solution(sde: LinearJumpSDE, path: DrivingPath) -> PathSeries:
         DomainError: if any multiplicative jump coefficient reaches -1.
     """
     grid = merge_grid(path)
-    cont, before, incl = _log_phi_nodes(sde.F, sde.G, sde.H, sde.marks, path, grid)
-    return PathSeries(grid, np.exp(_nodes_to_slots(grid, cont, before, incl)))
+    return PathSeries(grid, np.exp(_log_phi(sde.F, sde.G, sde.H, sde.marks, path, grid)))
 
 
 def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
@@ -192,8 +167,7 @@ def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
     ``- sum_k h_k w_k`` contribution, which is what is integrated here.
     """
     grid = merge_grid(path)
-    cont, before, incl = _log_phi_nodes(sde.F, sde.G, sde.H, sde.marks, path, grid)
-    log_phi = _nodes_to_slots(grid, cont, before, incl)
+    log_phi = _log_phi(sde.F, sde.G, sde.H, sde.marks, path, grid)
     phi = np.exp(log_phi)
     phi_inv = np.exp(-log_phi)
 
@@ -238,7 +212,7 @@ def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
     ev_before = ev_incl - ev_add
 
     node_cont = det + brown
-    inner = _nodes_to_slots(grid, node_cont, ev_before, ev_incl)
+    inner = grid.on_slots(node_cont + ev_before, (node_cont + ev_incl)[grid.is_jump])
     return PathSeries(grid, phi * (y0 + inner))
 
 
@@ -251,10 +225,7 @@ def _logistic_log_parts(model: ModelSpec, i: int, x0_i: float, path: DrivingPath
         raise ValueError("initial value must be positive")
     grid = merge_grid(path)
     F = growth_override if growth_override is not None else model.a[i]
-    cont, before, incl = _log_phi_nodes(
-        F, model.sigma[i], model.gamma[i], model.marks, path, grid
-    )
-    log_phi = _nodes_to_slots(grid, cont, before, incl)
+    log_phi = _log_phi(F, model.sigma[i], model.gamma[i], model.marks, path, grid)
 
     times = grid.times
     b = model.B[i][i]
@@ -279,7 +250,7 @@ def explicit_logistic_log(model: ModelSpec, i: int, x0_i: float, path: DrivingPa
     Safe for long horizons in both the growing and the dying regime.
     """
     grid, log_phi, log_den = _logistic_log_parts(model, i, x0_i, path, growth_override)
-    return PathSeries(grid, log_phi - log_den[_node_of_slot(grid)])
+    return PathSeries(grid, log_phi - grid.on_slots(log_den))
 
 
 def explicit_logistic(model: ModelSpec, i: int, x0_i: float, path: DrivingPath,
@@ -294,14 +265,27 @@ def explicit_logistic(model: ModelSpec, i: int, x0_i: float, path: DrivingPath,
     return PathSeries(series.grid, np.exp(series.values))
 
 
-def lower_growth_override(model: ModelSpec, i: int, uppers, grid: MergedGrid) -> PathSeries:
-    """Effective growth rate of the lower system: ``a_i - sum_{j!=i} b_ij Y_j``."""
-    vals = coefficient_slot_values(model.a[i], grid)
+def _coefficient_slot_values(f: CoefficientFn, grid: MergedGrid) -> np.ndarray:
+    """Evaluate a coefficient on every slot, with left limits on left slots."""
+    vals = np.asarray(f(grid.slot_times), dtype=float)
+    left = grid.slot_kinds == KIND_LEFT
+    if np.any(left):
+        vals[left] = np.asarray(f.value_left(grid.slot_times[left]), dtype=float)
+    return vals
+
+
+def _lower_growth_override(model: ModelSpec, i: int, uppers, grid: MergedGrid) -> PathSeries:
+    """Effective growth rate of the lower system: ``a_i - sum_{j!=i} b_ij Y_j``.
+
+    Only the tests use it, as an oracle for :func:`lvjumps.integrate.simulate_lower`
+    that shares none of its code.
+    """
+    vals = _coefficient_slot_values(model.a[i], grid)
     for j in range(model.n):
         if j == i:
             continue
         traj = uppers[j]
         if traj is None or not traj.grid.same_nodes(grid):
             raise GridMismatchError("upper trajectories must share the grid")
-        vals = vals - coefficient_slot_values(model.B[i][j], grid) * traj.values[0]
+        vals = vals - _coefficient_slot_values(model.B[i][j], grid) * traj.values[0]
     return PathSeries(grid, vals)

@@ -19,21 +19,26 @@ A path is flagged *diverged* (not an error) when a log population leaves the
 window representable by float64 without denormalising; any NaN is a hard
 error.
 
-The step loops hold only floats: the coefficient tables are flat lists indexed
-``l*n + i`` (and ``l*n*n + i*n + j`` for the interactions), and each slot's
-state is appended to one flat list that becomes the trajectory array at the
-end.  A list per slot or per table row would survive the whole path, and
-thousands of such survivors make CPython's cyclic garbage collector run full
-collections over the whole heap, which cost more than the arithmetic.
+Every full- and upper-system trajectory comes from :func:`_simulate_paths`.
+It tabulates the coefficients and jump factors and picks a step loop by what
+it is given: :func:`_run_batch` for two or more paths, else :func:`_run_scalar`
+(one species) or :func:`_run_vector` (several), since a batch of one costs 5
+to 35 times as much as those.  The lower system runs :func:`_run_scalar` with
+frozen competitors.  Each loop stores one pre-jump state per node, and
+:func:`_trajectory` places them on the slots; a post-jump state is the
+pre-jump state times the jump's factors, the product the loop continued from.
 
-The Monte Carlo estimators advance their paths in batches instead
-(:func:`_simulate_paths`): one step moves every path of the batch over its
-own next interval on (species, paths) arrays, so the per-step interpreter
-work is shared by the batch.  The arithmetic is the single-path kernels',
-operation for operation and elementwise, so each path gets the same bits as
-from :func:`simulate_system` or :func:`simulate_upper`, whatever the batch.
-States still go through libm's ``math.exp`` and ``math.log`` value by value:
-numpy's vectorised ``exp`` and ``log`` round differently on some inputs.
+The single-path loops hold only floats: the coefficient tables are flat lists
+indexed ``l*n + i`` (``l*n*n + i*n + j`` for the interactions) and the node
+states go onto one flat list.  Thousands of per-slot or per-row lists would
+survive the whole path and make CPython's cyclic garbage collector run full
+collections over the whole heap, which cost more than the arithmetic.  The
+batch loop moves every path over its own next interval on (species, paths)
+arrays, so the per-step interpreter work is shared; its arithmetic is the
+single-path loops', elementwise and in the same order, so a path gets the
+same bits alone or in any batch.  States go through libm's ``math.exp`` and
+``math.log`` value by value: numpy's vectorised ``exp`` and ``log`` round
+differently on some inputs.
 """
 
 from __future__ import annotations
@@ -121,18 +126,20 @@ def _tabulate(model: ModelSpec, t_left, rows, cols):
     return a_vals, B_vals, sig_vals, corr
 
 
-def _jump_factors(model: ModelSpec, path: DrivingPath, rows):
+def _jump_factors(model: ModelSpec, path: DrivingPath, rows) -> np.ndarray:
     """Per jump of ``path``, the factors ``1 + gamma_row(tau)`` of species ``rows``."""
-    return [
-        [1.0 + float(model.gamma[i][int(mark)](float(tau))) for i in rows]
-        for tau, mark in zip(path.jump_times, path.jump_marks)
-    ]
+    per_jump = zip(path.jump_times.tolist(), path.jump_marks.tolist())
+    factors = [[1.0 + float(model.gamma[i][k](tau)) for i in rows] for tau, k in per_jump]
+    return np.array(factors, dtype=float).reshape(-1, len(rows))
 
 
-def _walk_slots(grid: MergedGrid):
-    """Per interval: does the right node carry a jump, and which jump is it."""
-    jump_counter = np.cumsum(grid.is_jump.astype(np.int64)) - grid.is_jump.astype(np.int64)
-    return grid.is_jump[1:].tolist(), jump_counter[1:].tolist()
+def _jumps_by_interval(path: DrivingPath, factors: np.ndarray) -> list:
+    """Per interval of ``path``: the factors of the jump at its right node, or None."""
+    after = [None] * (len(path.node_times) - 1)
+    nodes = np.searchsorted(path.node_times, path.jump_times).tolist()
+    for node, f in zip(nodes, factors.tolist()):
+        after[node - 1] = f
+    return after
 
 
 def _jump(x, factors, t):
@@ -147,16 +154,26 @@ def _jump(x, factors, t):
     return None if bad else nxt
 
 
-def _finish(grid, flat, n, diverged_at):
-    """Trajectory from the slot states stored one after another in ``flat``."""
-    out = np.full((n, grid.n_slots), np.nan)
-    filled = np.asarray(flat, dtype=float).reshape(-1, n).T
-    out[:, : filled.shape[1]] = filled
+def _trajectory(grid: MergedGrid, factors, states, stop) -> Trajectory:
+    """Trajectory from the pre-jump states a step loop stored, node after node.
+
+    ``stop`` is None or ``(node, whether its pre-jump state was stored)``: the
+    path diverged there, and the slots from the first one not computed are
+    NaN.  A post-jump state is the pre-jump state times the jump's
+    ``factors``, the product :func:`_jump` continues from.
+    """
+    n = factors.shape[1]
+    left = np.full((grid.n_nodes, n), np.nan)
+    done = np.asarray(states, dtype=float).reshape(-1, n)
+    left[: len(done)] = done
+    values = grid.on_slots(left.T, (left[grid.is_jump] * factors).T)
+    diverged_at = None
+    if stop is not None:
+        node, stored = stop
+        diverged_at = float(grid.times[node])
+        values[:, grid.slot_at(diverged_at, "post" if stored else "left") :] = np.nan
     return Trajectory(
-        grid=grid,
-        values=out,
-        diverged=diverged_at is not None,
-        diverged_at=diverged_at,
+        grid=grid, values=values, diverged=stop is not None, diverged_at=diverged_at
     )
 
 
@@ -180,43 +197,71 @@ def simulate_system(model: ModelSpec, x0, path: DrivingPath) -> Trajectory:
         IntegrationError: on NaN state.
         DomainError: if the model violates the standing hypotheses.
     """
-    require_valid(model)
-    state = as_initial_state(x0, model.n)
-    grid = merge_grid(path)
-    if model.n == 1:
-        return _self_regulated(model, grid, path, 0, state.x0[0])
-    species = range(model.n)
-    return _run_vector(
-        grid, path, state, *_tabulate(model, grid.times[:-1], species, species),
-        _jump_factors(model, path, species),
-    )
+    (traj,) = _simulate_paths(model, x0, [path])
+    return traj
 
 
-def _self_regulated(model, grid, path, i, x0_i):
-    """Species ``i`` with the drift ``a_i - b_ii X_i`` only."""
-    a_vals, B_vals, sig_vals, corr = _tabulate(model, grid.times[:-1], [i], [i])
-    return _run_scalar(
-        grid, path, math.log(float(x0_i)), a_vals[:, 0], B_vals[:, 0, 0],
-        sig_vals[:, 0], corr[:, 0], _jump_factors(model, path, [i]),
-    )
+def simulate_upper(model: ModelSpec, i: int, x0_i: float, path: DrivingPath) -> Trajectory:
+    """Integrate the scalar upper comparison system for species ``i``.
+
+    The drift keeps only the self-interaction ``a_i - b_ii Y_i``; noise and
+    jumps are identical to the full system's, so the result dominates the
+    ``i``-th component pathwise.
+    """
+    (traj,) = _simulate_paths(model, x0_i, [path], species=i)
+    return traj
 
 
-def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors):
-    """Kernel for n >= 2 species, all advanced together."""
-    n = len(state.x0)
+def _simulate_paths(model: ModelSpec, x0, paths, species=None):
+    """Trajectories of the driving ``paths``, in their order.
+
+    With ``species`` None this is the full system from the initial state
+    ``x0``, otherwise the upper system of species ``species`` from the scalar
+    ``x0``.  Two or more paths advance together in :func:`_run_batch`; a lone
+    path runs :func:`_run_scalar` (width 1) or :func:`_run_vector` (width 2
+    or more), which cost far less for one path.  A path gets the same bits
+    from every loop.
+    """
+    if species is None:
+        require_valid(model)
+        rows = range(model.n)
+        logx0 = [math.log(v) for v in as_initial_state(x0, model.n).x0]
+    else:
+        _check_species(model, species, x0)
+        rows = [species]
+        logx0 = [math.log(float(x0))]
+    factors = [_jump_factors(model, path, rows) for path in paths]
+    if len(paths) == 1:
+        (path,) = paths
+        loop = _run_scalar if len(rows) == 1 else _run_vector
+        tables = _tabulate(model, path.node_times[:-1], rows, rows)
+        runs = [loop(path, logx0, *tables, factors[0])]
+    else:
+        runs = _run_batch(model, rows, logx0, paths, factors)
+    for path, f, (states, stop) in zip(paths, factors, runs):
+        yield _trajectory(merge_grid(path), f, states, stop)
+
+
+def _run_vector(path, logx0, a_vals, B_vals, sig_vals, corr, jump_factors):
+    """Kernel for one path of n >= 2 species, all advanced together.
+
+    Returns the pre-jump state of each node it reached, flat, and the stop
+    (see :func:`_trajectory`).
+    """
+    n = len(logx0)
     nn = n * n
     species = range(n)
-    dt = np.diff(grid.times).tolist()
+    times = path.node_times
+    dt = np.diff(times).tolist()
     dw = path.node_increments.tolist()
     a_l = a_vals.ravel().tolist()
     B_l = B_vals.ravel().tolist()
     s_l = sig_vals.ravel().tolist()
     c_l = corr.ravel().tolist()
-    is_jump, jump_idx = _walk_slots(grid)
-    logx = [math.log(v) for v in state.x0]
+    jumps = _jumps_by_interval(path, jump_factors)
+    logx = list(logx0)
     x = [math.exp(v) for v in logx]
-    flat = list(x)
-    diverged_at = None
+    states = list(x)
     for l in range(len(dt)):
         dtl = dt[l]
         dwl = dw[l]
@@ -233,25 +278,21 @@ def _run_vector(grid, path, state, a_vals, B_vals, sig_vals, corr, jump_factors)
             if not (LOG_LOW < v < LOG_HIGH):
                 bad = True
             if v != v:
-                raise IntegrationError(f"NaN state at t={float(grid.times[l + 1])!r}")
+                raise IntegrationError(f"NaN state at t={float(times[l + 1])!r}")
         if bad:
-            diverged_at = float(grid.times[l + 1])
-            break
+            return states, (l + 1, False)
         x = [math.exp(v) for v in logx]
-        flat.extend(x)
-        if is_jump[l]:
-            nxt = _jump(x, jump_factors[jump_idx[l]], grid.times[l + 1])
-            if nxt is None:
-                diverged_at = float(grid.times[l + 1])
-                break
-            x = nxt
+        states.extend(x)
+        if jumps[l] is not None:
+            x = _jump(x, jumps[l], times[l + 1])
+            if x is None:
+                return states, (l + 1, True)
             logx = [math.log(v) for v in x]
-            flat.extend(x)
-    return _finish(grid, flat, n, diverged_at)
+    return states, None
 
 
-def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=(), steps=None):
-    """Width-1 kernel: one species against frozen competitors.
+def _run_scalar(path, logx0, a, b_own, sig, corr, jump_factors, others=(), steps=None):
+    """Width-1 kernel: one species of one path against frozen competitors.
 
     The interaction sum is ``b_own * z`` plus, in order, the terms
     ``others[l*width : (l+1)*width]`` of interval ``l``, with the same width
@@ -260,18 +301,18 @@ def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=(),
     term for term.  When the frozen competitors coincide with the full state
     the float arithmetic coincides too, and the pathwise ordering cannot be
     broken by rounding.  With ``steps`` set, only the first ``steps``
-    intervals are integrated and the path is flagged diverged at the next
-    node.
+    intervals are integrated and the path stops at the next node.  Returns
+    what :func:`_run_vector` returns.
     """
-    dt = np.diff(grid.times).tolist()
+    times = path.node_times
+    dt = np.diff(times).tolist()
     dw = path.node_increments.tolist()
-    a, b_own, sig, corr = (v.tolist() for v in (a, b_own, sig, corr))
+    a, b_own, sig, corr = (v.ravel().tolist() for v in (a, b_own, sig, corr))
     width = len(others) // len(dt)
-    is_jump, jump_idx = _walk_slots(grid)
-    logz = logz0
+    jumps = _jumps_by_interval(path, jump_factors)
+    (logz,) = logx0
     z = math.exp(logz)
-    flat = [z]
-    diverged_at = None
+    states = [z]
     if steps is None:
         steps = len(dt)
     for l in range(steps):
@@ -281,23 +322,18 @@ def _run_scalar(grid, path, logz0, a, b_own, sig, corr, jump_factors, others=(),
                 acc += others[m]
         logz += (a[l] - acc - corr[l]) * dt[l] + sig[l] * dw[l]
         if logz != logz:
-            raise IntegrationError(f"NaN state at t={float(grid.times[l + 1])!r}")
+            raise IntegrationError(f"NaN state at t={float(times[l + 1])!r}")
         if not (LOG_LOW < logz < LOG_HIGH):
-            diverged_at = float(grid.times[l + 1])
-            break
+            return states, (l + 1, False)
         z = math.exp(logz)
-        flat.append(z)
-        if is_jump[l]:
-            nxt = _jump([z], jump_factors[jump_idx[l]], grid.times[l + 1])
+        states.append(z)
+        if jumps[l] is not None:
+            nxt = _jump([z], jumps[l], times[l + 1])
             if nxt is None:
-                diverged_at = float(grid.times[l + 1])
-                break
-            z = nxt[0]
+                return states, (l + 1, True)
+            (z,) = nxt
             logz = math.log(z)
-            flat.append(z)
-    if diverged_at is None and steps < len(dt):
-        diverged_at = float(grid.times[steps + 1])
-    return _finish(grid, flat, 1, diverged_at)
+    return states, (steps + 1, False) if steps < len(dt) else None
 
 
 # Monte Carlo batches: at most this many paths advance together, and a batch
@@ -314,27 +350,7 @@ def _batch_size(width: int, nodes: int) -> int:
     return max(1, min(_BATCH_PATHS, _BATCH_STATES // (width * nodes)))
 
 
-def _simulate_paths(model: ModelSpec, x0, paths, species=None):
-    """Trajectories of the driving ``paths``, all advanced together.
-
-    With ``species`` None this is the full system from the initial state
-    ``x0``, otherwise the upper system of species ``species`` from the scalar
-    ``x0``.  Each trajectory, in the order of ``paths``, is bit for bit the
-    one :func:`simulate_system` or :func:`simulate_upper` gives for that path
-    alone; see :func:`_run_batch`.
-    """
-    if species is None:
-        require_valid(model)
-        rows = range(model.n)
-        logx0 = [math.log(v) for v in as_initial_state(x0, model.n).x0]
-    else:
-        _check_species(model, species, x0)
-        rows = [species]
-        logx0 = [math.log(float(x0))]
-    return _run_batch(model, rows, logx0, paths)
-
-
-def _run_batch(model, rows, logx0, paths):
+def _run_batch(model, rows, logx0, paths, factors):
     """Kernel over a batch: the state of path ``p`` is column ``p`` of (n, P) arrays.
 
     Step ``l`` advances every path over its own interval ``l`` with the
@@ -345,16 +361,12 @@ def _run_batch(model, rows, logx0, paths):
     bits in any batch.  A path that has ended (past its last node) or left
     the log window is retired: its state is reset to log 0 and its remaining
     ``dt``, ``dW`` and jumps are zero, so it stays put and cannot leave the
-    window again.  The kernel stores each node's pre-jump state; the
-    post-jump state is that times the jump factors, as :func:`_jump` computes
-    it.
+    window again.  Returns, per path, its pre-jump node states (one row per
+    node) and its stop, as :func:`_run_vector` does.
     """
     n, P = len(rows), len(paths)
     times = [path.node_times for path in paths]
     ends = [len(t) - 1 for t in times]
-    factors = [
-        np.array(_jump_factors(model, path, rows), dtype=float).reshape(-1, n) for path in paths
-    ]
     jumps_at = (
         np.concatenate([np.searchsorted(t, path.jump_times) for t, path in zip(times, paths)]),
         np.repeat(np.arange(P), [path.jump_count for path in paths]),
@@ -417,8 +429,7 @@ def _run_batch(model, rows, logx0, paths):
         # free this block's tables before the next block's are built
         del a, B, corr, dt, sdw, jumps, jump_f
 
-    for p, path in enumerate(paths):
-        yield _from_nodes(path, store[: ends[p] + 1, :, p], factors[p], stops[p])
+    return [(store[: end + 1, :, p], stop) for p, (end, stop) in enumerate(zip(ends, stops))]
 
 
 def _block(model, rows, paths, ends, live, jumps_at, l0):
@@ -449,34 +460,6 @@ def _block(model, rows, paths, ends, live, jumps_at, l0):
     jump_f[node[here] - l0 - 1, :, path_of[here]] = factors[here]
     a, B, sig, corr = _tabulate(model, nodes[:-1], rows, rows)
     return a, B, corr, nodes[1:] - nodes[:-1], sig * dw[:, None, :], jumps, jump_f
-
-
-def _from_nodes(path, left, factors, stop):
-    """Trajectory from the pre-jump node states ``left`` (nodes, n) of one path."""
-    grid = merge_grid(path)
-    values = np.empty((left.shape[1], grid.n_slots))
-    values[:, grid.node_first_slot] = left.T
-    jumped = np.flatnonzero(grid.is_jump)
-    values[:, grid.node_first_slot[jumped] + 1] = (left[jumped] * factors).T
-    diverged_at = None
-    if stop is not None:
-        node, stored = stop
-        values[:, grid.node_first_slot[node] + stored :] = np.nan
-        diverged_at = float(grid.times[node])
-    return Trajectory(
-        grid=grid, values=values, diverged=stop is not None, diverged_at=diverged_at
-    )
-
-
-def simulate_upper(model: ModelSpec, i: int, x0_i: float, path: DrivingPath) -> Trajectory:
-    """Integrate the scalar upper comparison system for species ``i``.
-
-    The drift keeps only the self-interaction ``a_i - b_ii Y_i``; noise and
-    jumps are identical to the full system's, so the result dominates the
-    ``i``-th component pathwise.
-    """
-    _check_species(model, i, x0_i)
-    return _self_regulated(model, merge_grid(path), path, i, x0_i)
 
 
 def simulate_lower(
@@ -530,11 +513,11 @@ def simulate_lower(
             head += pressure[:, j]
         others = np.column_stack((head, others))
     unknown = np.flatnonzero(np.isnan(frozen).any(axis=1))
-    return _run_scalar(
-        grid, path, math.log(float(x0_i)), a_vals[:, 0], B_vals[:, 0, i],
-        sig_vals[:, 0], corr[:, 0], _jump_factors(model, path, [i]), others.ravel().tolist(),
-        steps=int(unknown[0]) if len(unknown) else None,
-    )
+    factors = _jump_factors(model, path, [i])
+    return _trajectory(grid, factors, *_run_scalar(
+        path, [math.log(float(x0_i))], a_vals, B_vals[:, 0, i], sig_vals, corr, factors,
+        others.ravel().tolist(), steps=int(unknown[0]) if len(unknown) else None,
+    ))
 
 
 def format_float(x: float) -> str:

@@ -244,6 +244,19 @@ class MergedGrid:
             return base + 1
         return base
 
+    def on_slots(self, at_nodes, at_jumps=None) -> np.ndarray:
+        """Slot values from one value per node, ``at_nodes[..., l]`` for node ``l``.
+
+        A node's first (or only) slot gets its node value.  The post-jump slot
+        of the ``k``-th jump node gets ``at_jumps[..., k]``, or the node value
+        when ``at_jumps`` is None.
+        """
+        out = np.empty(at_nodes.shape[:-1] + (self.n_slots,))
+        out[..., self.node_first_slot] = at_nodes
+        post = self.node_first_slot[self.is_jump] + 1
+        out[..., post] = at_nodes[..., self.is_jump] if at_jumps is None else at_jumps
+        return out
+
     def interval_start_slots(self) -> np.ndarray:
         """Slot holding the state at the start of each node interval."""
         return (self.node_first_slot + self.is_jump.astype(np.int64))[:-1]

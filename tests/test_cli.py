@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvjumps import (
     explicit_logistic,
@@ -329,6 +331,133 @@ def test_sweep_bad_target_exit_2(model_file, tmp_path, target):
 )
 def test_bad_number_list_exit_2(model_file, tmp_path, argv):
     assert main(argv + ["--model", str(model_file), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "moments", "--p", "-1"],
+        ["analyze", "moments", "--p", "nan"],
+        ["analyze", "moments", "--seed", "-1"],
+        ["analyze", "moments", "--checkpoints", "1"],
+        ["analyze", "couple", "--x", "0"],
+        ["analyze", "couple", "--x", "-1"],
+        ["analyze", "couple", "--x", "nan"],
+        ["analyze", "couple", "--x", "1e-320"],
+        ["analyze", "couple", "--y", "inf"],
+        ["analyze", "invariant", "--x", "0"],
+        ["simulate", "--with-oracle", "--oracle-tol", "nan"],
+        ["simulate", "--oracle-tol", "-1"],
+        ["simulate", "--seed", "-1"],
+    ],
+    ids=["p-negative", "p-nan", "seed-negative", "no-early-checkpoint", "x-zero",
+         "x-negative", "x-nan", "x-reciprocal-overflows", "y-inf", "invariant-x-zero",
+         "oracle-tol-nan", "oracle-tol-negative", "simulate-seed-negative"],
+)
+def test_bad_number_exit_2(model_file, tmp_path, argv):
+    # each ended in a traceback with exit 1, or passed silently with a NaN
+    argv = argv + ["--model", str(model_file), "--out", str(tmp_path / "o"),
+                   "--T", "1.0", "--h", "0.125"]
+    if argv[0] == "analyze":
+        argv += ["--paths", "3"]
+    assert main(argv) == 2
+
+
+# Tokens for the argv fuzz test, per command and flag: values that run and
+# bad or boundary values.  Sizes stay small (T <= 2, h >= 0.125, at most 3
+# paths and 5 checkpoints), so no example allocates much or runs long.
+_BAD = ["nan", "inf", "-1", "0", "abc", ""]
+_SIZES = {
+    "--T": (["1", "2"], ["0.5", "1e-320", *_BAD]),
+    "--h": (["0.125", "0.25"], ["0.3", "1e300", *_BAD]),
+}
+_SEED = {"--seed": (["0", "3"], ["-1", "1.5", "abc", ""])}
+_FUZZ_FLAGS = {
+    "validate": {},
+    "simulate": {
+        **_SIZES,
+        **_SEED,
+        "--x0": (["1", "0.5,2"], [",", "1e-320", *_BAD]),
+        "--oracle-tol": (["0.05", "1e-300"], _BAD),
+    },
+    "analyze": {
+        **_SIZES,
+        **_SEED,
+        "--paths": (["1", "2", "3"], ["0", "-1", "abc", ""]),
+        "--checkpoints": (["2", "5"], ["1", "0", "-1", "abc"]),
+        "--x0": (["1", "0.5,2"], [",", *_BAD]),
+        "--species": (["0", "1"], ["-1", "2", "abc"]),
+        "--p": (["0", "0.5", "2"], ["1e-320", *_BAD]),
+        "--x": (["0.5", "2"], ["1e-320", "1e300", *_BAD]),
+        "--y": (["0.5", "2"], ["1e-320", *_BAD]),
+    },
+    "classify": {"--p-list": (["2", "0.5,3"], [",", "2,q", *_BAD])},
+    "sweep": {
+        "--param": (["a[0]", "sigma[0]", "B[0][0]", "gamma[0][0]", "weights[0]"],
+                    ["a[1]", "a[x]", "zz"]),
+        "--grid": (["0.5:1.5:0.25"], ["1:0:0.5", "0:1:0", "nan:1:0.5", "0:inf:1", "0:1", *_BAD]),
+        "--values": (["1", "0,1"], ["1,zz", ",", *_BAD]),
+    },
+}
+_ALWAYS = ("--T", "--h", "--paths", "--checkpoints")  # their defaults are far larger
+
+
+@st.composite
+def _argv(draw):
+    """argv for one subcommand: valid values, with at most two flags made bad."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = _FUZZ_FLAGS[command]
+    argv = [command]
+    if command == "analyze":
+        argv.append(draw(st.sampled_from(
+            ["moments", "lyapunov", "inverse-moment", "couple", "invariant", "bogus"]
+        )))
+    bad = draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)) if flags else []
+    for flag, (good, wrong) in flags.items():
+        if flag in bad:
+            value = draw(st.sampled_from(wrong))
+        elif flag in _ALWAYS:
+            value = draw(st.sampled_from(good))
+        else:
+            value = draw(st.none() | st.sampled_from(good))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    if command == "simulate":
+        argv += draw(st.lists(
+            st.sampled_from(["--with-bounds", "--with-oracle", "--dump-path"]), unique=True
+        ))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    """A 1-species and a 2-species model file, and an output directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    two = {
+        "n": 2,
+        "a": [{"type": "const", "c": 2.0}] * 2,
+        "B": [[{"type": "const", "c": 1.0}, {"type": "const", "c": 0.2}]] * 2,
+        "sigma": [{"type": "const", "c": 1.0}] * 2,
+        "marks": {"weights": [1.0]},
+        "gamma": [[{"type": "const", "c": 0.5}]] * 2,
+    }
+    files = []
+    for k, payload in enumerate((model_payload(), two)):
+        files.append(root / f"model{k + 1}.json")
+        files[-1].write_text(json.dumps(payload))
+    return files, root / "o"
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=_argv(), two_species=st.booleans())
+def test_argv_fuzz_exits_with_a_documented_code(fuzz_models, argv, two_species):
+    files, out = fuzz_models
+    argv = argv + ["--model", str(files[two_species]), "--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    assert code in range(6), argv
 
 
 def test_reruns_byte_identical(model_file, tmp_path):

@@ -17,13 +17,13 @@ from lvjumps import (
     explicit_logistic,
     explicit_logistic_log,
     fundamental_solution,
-    lower_growth_override,
     merge_grid,
     sample_driving_path,
     simulate_lower,
     simulate_upper,
     voc_solve,
 )
+from lvjumps.closedform import _lower_growth_override
 from lvjumps.errors import DomainError
 
 NO_MARKS = MarkSpace(())
@@ -245,7 +245,7 @@ def test_log_form_matches_plain_form(extinct_model):
 def test_constant_override_reproduces_plain_solution(benchmark_model):
     path = sample_driving_path(benchmark_model.marks, 3.0, 2.0**-6, 41)
     grid = merge_grid(path)
-    override = lower_growth_override(benchmark_model, 0, [None], grid)
+    override = _lower_growth_override(benchmark_model, 0, [None], grid)
     with_override = explicit_logistic(benchmark_model, 0, 1.0, path, growth_override=override)
     plain = explicit_logistic(benchmark_model, 0, 1.0, path)
     np.testing.assert_allclose(with_override.values, plain.values, rtol=1e-10)
@@ -261,7 +261,7 @@ def test_override_realises_lower_system():
     uppers = [simulate_upper(model, i, x0[i], path) for i in range(2)]
     sim = simulate_lower(model, 0, x0[0], path, uppers)
     grid = sim.grid
-    override = lower_growth_override(model, 0, uppers, grid)
+    override = _lower_growth_override(model, 0, uppers, grid)
     oracle = explicit_logistic(model, 0, x0[0], path, growth_override=override)
     gap = np.max(np.abs(sim.values[0] - oracle.values) / oracle.values)
     assert gap < 5e-3

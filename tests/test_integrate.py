@@ -322,10 +322,13 @@ def test_a_path_gets_the_same_bytes_alone_and_in_a_batch_of_257():
         gamma=((0.4,), (-0.3,)), weights=(1.0,),
     )
     paths = [sample_driving_path(model.marks, 2.0, 2.0**-6, seed) for seed in range(257)]
+    among = list(_simulate_paths(model, [0.8, 1.3], paths))
     for k in (0, 128, 256):
+        # a lone path runs the single-path loop; two is the smallest batch
         (alone,) = _simulate_paths(model, [0.8, 1.3], [paths[k]])
-        among = list(_simulate_paths(model, [0.8, 1.3], paths))[k]
-        assert_same_trajectory(alone, among)
+        paired, _ = _simulate_paths(model, [0.8, 1.3], [paths[k], paths[k - 1]])
+        assert_same_trajectory(alone, among[k])
+        assert_same_trajectory(paired, among[k])
 
 
 def test_nan_increment_in_one_path_of_a_batch_is_hard_error():

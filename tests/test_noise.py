@@ -110,6 +110,14 @@ def test_merge_grid_one_interior_jump():
     assert np.array_equal(grid.times, [0.0, 0.3, 0.5, 1.0])
     assert np.array_equal(grid.slot_times, [0.0, 0.3, 0.3, 0.5, 1.0])
     assert list(grid.slot_kinds) == [KIND_GRID, KIND_LEFT, KIND_POST, KIND_GRID, KIND_GRID]
+    # node values go to the node slots, post values to the post-jump slots
+    nodes = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    assert np.array_equal(grid.on_slots(nodes[0], [9.0]), [1.0, 2.0, 9.0, 3.0, 4.0])
+    assert np.array_equal(
+        grid.on_slots(nodes, [[9.0], [10.0]]),
+        [[1.0, 2.0, 9.0, 3.0, 4.0], [5.0, 6.0, 10.0, 7.0, 8.0]],
+    )
+    assert np.array_equal(grid.on_slots(nodes[0]), [1.0, 2.0, 2.0, 3.0, 4.0])
 
 
 def test_merge_grid_jump_on_grid_node_dedups():
