@@ -9,7 +9,9 @@ downstream use 3-standard-error bands.
 ``|X|`` is throughout the Euclidean norm across species.  Estimators of the
 scalar self-regulating solution go through the explicit closed form in log
 space (exact up to quadrature, safe on long horizons); estimators of the full
-system go through the log-Euler integrator.
+system go through the log-Euler integrator.  Every estimator's paths come
+from :func:`_per_path`, which hands them to :func:`_log_euler` or
+:func:`_closed_form` runs.
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
-from scipy import stats
 
-from .closedform import explicit_logistic_log
+from .closedform import _log_solution, _logistic_log_parts
 from .coefficients import Const
 from .conditions import compute_regime_report
 from .errors import ConfigurationError, PrerequisiteError
 from .integrate import Trajectory, _batch_size, _simulate_paths, _write_table
-from .model import ModelSpec, as_initial_state
+from .model import ModelSpec, as_initial_state, check_species
 from .noise import _steps_of, derive_path_seed, sample_driving_path
 
 __all__ = [
@@ -111,39 +111,52 @@ def _kept(values):
     return kept, len(values) - len(kept)
 
 
-def _paths(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, offset: int = 0):
-    """The seeded driving paths ``offset, ..., offset + n_paths - 1`` in order.
+def _per_path(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, runs, offset=0):
+    """One list per run of its values on the seeded paths ``offset, ..., offset + n_paths - 1``.
 
-    Path ``j`` depends only on ``(seed, j)``, so a path's noise never depends
-    on how many paths run or on which estimator asks for it.
+    Every estimator's paths come from here; path ``j`` depends only on
+    ``(seed, j)``.  A run is ``(width, run)``: ``run(batch)`` yields one value
+    per path, None where it diverged.  Every run takes each batch in turn,
+    and no value depends on the batch it came from.
     """
     extra = tuple(b for b in model.pwc_breakpoints() if 0.0 < b < T)
-    for j in range(offset, offset + n_paths):
-        yield sample_driving_path(model.marks, T, h, derive_path_seed(seed, j), extra_times=extra)
-
-
-def _per_path(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, runs):
-    """Integrate every seeded path once per run and reduce each trajectory.
-
-    Each run is ``(x0, species, reduce)``: the full system from ``x0`` when
-    ``species`` is None, else the upper system of ``species`` from the scalar
-    ``x0``.  Returns one list per run holding ``reduce(trajectory)`` for each
-    path in path order, or None where the path diverged.  The paths are drawn
-    once, in batches that every run integrates in turn, and a trajectory does
-    not depend on the batch it ran in.
-    """
-    width = max(model.n if species is None else 1 for _, species, _ in runs)
-    paths = _paths(model, T, h, n_paths, seed)
-    size = _batch_size(width, _steps_of(T, h) + 1)
+    size = _batch_size(max(width for width, _ in runs), _steps_of(T, h) + 1)
+    end = offset + n_paths
     out = [[] for _ in runs]
-    while batch := list(islice(paths, size)):
-        for values, (x0, species, reduce) in zip(out, runs):
-            values.extend(
-                None if traj.diverged else reduce(traj)
-                for traj in _simulate_paths(model, x0, batch, species)
-            )
+    for first in range(offset, end, size):
+        batch = [
+            sample_driving_path(model.marks, T, h, derive_path_seed(seed, j), extra_times=extra)
+            for j in range(first, min(first + size, end))
+        ]
+        for values, (_, run) in zip(out, runs):
+            values.extend(run(batch))
         batch.clear()  # release these paths before the next batch is drawn
     return out
+
+
+def _log_euler(model: ModelSpec, x0, species, reduce):
+    """A run of ``reduce(trajectory)``: the full system from ``x0`` when
+    ``species`` is None, else the upper system of ``species`` from scalar ``x0``."""
+
+    def run(batch):
+        for traj in _simulate_paths(model, x0, batch, species):
+            yield None if traj.diverged else reduce(traj)
+
+    return (model.n if species is None else 1), run
+
+
+def _closed_form(model: ModelSpec, i: int, starts, reduce):
+    """A run of ``reduce(grid, ln Y from starts[0], ...)`` for species ``i``'s
+    explicit solution, whose start-free part is computed once per path."""
+    for x0_i in starts:
+        check_species(model, i, x0_i)
+
+    def run(batch):
+        for path in batch:
+            parts = _logistic_log_parts(model, i, path)
+            yield reduce(parts[0], *(_log_solution(parts, x0_i) for x0_i in starts))
+
+    return 1, run
 
 
 def estimate_moment(
@@ -170,7 +183,7 @@ def estimate_moment(
     def moment(traj):
         return traj.slot_norms()[_checkpoint_slots(traj.grid, checkpoints)] ** p
 
-    (values,) = _per_path(model, T, h, n_paths, seed, [(state, None, moment)])
+    (values,) = _per_path(model, T, h, n_paths, seed, [_log_euler(model, state, None, moment)])
     samples, diverged = _kept(values)
     return _series_from_samples(checkpoints, samples, diverged)
 
@@ -217,7 +230,7 @@ def lyapunov_functional_mc(
     """Monte Carlo mean of the growth functional against ``max_i sup a_i``."""
     state = as_initial_state(x0, model.n)
     functional = partial(lyapunov_functional, model=model)
-    (values,) = _per_path(model, T, h, n_paths, seed, [(state, None, functional)])
+    (values,) = _per_path(model, T, h, n_paths, seed, [_log_euler(model, state, None, functional)])
     return _functional_mc(model, values)
 
 
@@ -281,9 +294,8 @@ def sample_lyapunov_mc(
 ) -> LyapunovMC:
     """Monte Carlo of the scalar upper solution's normalised log population."""
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    (values,) = _per_path(
-        model, T, h, n_paths, seed, [(x0_i, i, _exponents_at(checkpoints))]
-    )
+    run = _log_euler(model, x0_i, i, _exponents_at(checkpoints))
+    (values,) = _per_path(model, T, h, n_paths, seed, [run])
     return _lyapunov_mc(checkpoints, values)
 
 
@@ -314,8 +326,8 @@ def _lyapunov_and_functional(
     upper, system = _per_path(
         model, T, h, n_paths, seed,
         [
-            (state.x0[i], i, _exponents_at(checkpoints)),
-            (state, None, partial(lyapunov_functional, model=model)),
+            _log_euler(model, state.x0[i], i, _exponents_at(checkpoints)),
+            _log_euler(model, state, None, partial(lyapunov_functional, model=model)),
         ],
     )
     return _lyapunov_mc(checkpoints, upper), system
@@ -363,11 +375,11 @@ def inverse_moment_check(
     """
     c1 = _require_positive_margin(model, i)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    samples = []
-    for path in _paths(model, T, h, n_paths, seed):
-        series = explicit_logistic_log(model, i, x0_i, path)
-        slots = _checkpoint_slots(series.grid, checkpoints)
-        samples.append(np.exp(-series.values[slots]))
+
+    def inverse(grid, log_y):
+        return np.exp(-log_y[_checkpoint_slots(grid, checkpoints)])
+
+    (samples,) = _per_path(model, T, h, n_paths, seed, [_closed_form(model, i, (x0_i,), inverse)])
     mc = _series_from_samples(checkpoints, samples, 0)
     b_sup = model.B[i][i].supremum
     bound = b_sup / c1 + (1.0 / x0_i - b_sup / c1) * np.exp(-c1 * checkpoints)
@@ -418,22 +430,18 @@ def coupling_contraction(
     """
     c1 = _require_positive_margin(model, i)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    inv_samples, half_samples = [], []
-    sign_ok = 0
     expected = 1.0 / x - 1.0 / y
-    for path in _paths(model, T, h, n_paths, seed):
-        lx = explicit_logistic_log(model, i, x, path)
-        ly = explicit_logistic_log(model, i, y, path)
-        inv_diff_all = np.exp(-lx.values) - np.exp(-ly.values)
-        if x == y:
-            sign_ok += int(np.all(inv_diff_all == 0.0))
-        else:
-            sign_ok += int(np.all(inv_diff_all * np.sign(expected) >= 0.0))
-        slots = _checkpoint_slots(lx.grid, checkpoints)
-        inv_samples.append(np.abs(inv_diff_all[slots]))
-        half_samples.append(
-            np.sqrt(np.abs(np.exp(lx.values[slots]) - np.exp(ly.values[slots])))
-        )
+
+    def differences(grid, lx, ly):
+        inv_diff_all = np.exp(-lx) - np.exp(-ly)
+        sign_ok = np.all(inv_diff_all * np.sign(expected) >= 0.0)
+        slots = _checkpoint_slots(grid, checkpoints)
+        half = np.sqrt(np.abs(np.exp(lx[slots]) - np.exp(ly[slots])))
+        return int(sign_ok), np.abs(inv_diff_all[slots]), half
+
+    run = _closed_form(model, i, (x, y), differences)
+    (values,) = _per_path(model, T, h, n_paths, seed, [run])
+    signs, inv_samples, half_samples = zip(*values)
     inv_mc = _series_from_samples(checkpoints, inv_samples, 0)
     half_mc = _series_from_samples(checkpoints, half_samples, 0)
     envelope = abs(expected) * np.exp(-c1 * checkpoints)
@@ -443,7 +451,7 @@ def coupling_contraction(
         envelope=envelope,
         ok=ok,
         half_moment_diff=half_mc,
-        sign_consistent_fraction=sign_ok / n_paths,
+        sign_consistent_fraction=sum(signs) / n_paths,
     )
 
 
@@ -458,15 +466,29 @@ def terminal_sample(
     stream_offset: int = 0,
 ) -> np.ndarray:
     """Terminal values ``Y_i(T)`` over ``n_paths`` independent paths."""
-    out = np.empty(n_paths)
-    for j, path in enumerate(_paths(model, T, h, n_paths, seed, stream_offset)):
-        out[j] = math.exp(explicit_logistic_log(model, i, x0_i, path).final())
-    return out
+
+    def terminal(grid, log_y):
+        return math.exp(float(log_y[-1]))
+
+    run = _closed_form(model, i, (x0_i,), terminal)
+    (values,) = _per_path(model, T, h, n_paths, seed, [run], stream_offset)
+    return np.asarray(values, dtype=float)
 
 
 def dkw_epsilon(n: int, confidence: float = 0.99) -> float:
     """One-sample Dvoretzky-Kiefer-Wolfowitz band half-width."""
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
+
+
+def _ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic, bit for bit that of ``scipy.stats.ks_2samp``,
+    whose choice between the one-sided gaps gives +0.0 for equal samples."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    cdf_a, cdf_b = (np.searchsorted(s, pooled, side="right") / len(s) for s in (a, b))
+    diffs = cdf_a - cdf_b
+    low, high = np.clip(-diffs.min(), 0, 1), diffs.max()
+    return float(low if low > high else high)
 
 
 @dataclass(frozen=True)
@@ -513,7 +535,7 @@ def invariant_distance(
         sample_y = sample_x
     else:
         sample_y = terminal_sample(model, i, y, T, h, n_paths, seed, stream_offset=n_paths)
-    distance = float(stats.ks_2samp(sample_x, sample_y, method="asymp").statistic)
+    distance = _ks_statistic(sample_x, sample_y)
     floor = 2.0 * dkw_epsilon(n_paths) + slack
     return InvariantDistanceResult(distance=distance, sampling_floor=floor, n_paths=n_paths)
 

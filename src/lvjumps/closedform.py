@@ -35,7 +35,7 @@ import numpy as np
 
 from .coefficients import CoefficientFn
 from .errors import DomainError, GridMismatchError
-from .model import MarkSpace, ModelSpec, require_valid
+from .model import MarkSpace, ModelSpec, check_species
 from .noise import KIND_LEFT, DrivingPath, MergedGrid, merge_grid
 
 __all__ = [
@@ -61,9 +61,6 @@ class PathSeries:
 
     def final(self) -> float:
         return float(self.values[-1])
-
-    def at_time(self, t: float, kind: str = "post") -> float:
-        return float(self.values[self.grid.slot_at(t, kind)])
 
 
 @dataclass(frozen=True)
@@ -216,13 +213,9 @@ def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
     return PathSeries(grid, phi * (y0 + inner))
 
 
-def _logistic_log_parts(model: ModelSpec, i: int, x0_i: float, path: DrivingPath,
-                        growth_override=None):
-    require_valid(model)
-    if not (0 <= i < model.n):
-        raise IndexError(f"species index {i} out of range")
-    if not (x0_i > 0):
-        raise ValueError("initial value must be positive")
+def _logistic_log_parts(model: ModelSpec, i: int, path: DrivingPath, growth_override=None):
+    """``(grid, ln Phi, ln inc)``, the explicit solution's start-free part;
+    ``ln inc`` is the log of each interval's trapezoid of ``Phi b``."""
     grid = merge_grid(path)
     F = growth_override if growth_override is not None else model.a[i]
     log_phi = _log_phi(F, model.sigma[i], model.gamma[i], model.marks, path, grid)
@@ -237,10 +230,14 @@ def _logistic_log_parts(model: ModelSpec, i: int, x0_i: float, path: DrivingPath
         log_inc = np.log(0.5 * np.diff(times)) + np.logaddexp(
             log_phi[start_slots] + log_b_s, log_phi[end_slots] + log_b_e
         )
-    log_den = np.logaddexp.accumulate(
-        np.concatenate(([-math.log(x0_i)], log_inc))
-    )
-    return grid, log_phi, log_den
+    return grid, log_phi, log_inc
+
+
+def _log_solution(parts, x0_i: float) -> np.ndarray:
+    """``ln Y`` on the slots from :func:`_logistic_log_parts` and the start ``x0_i``."""
+    grid, log_phi, log_inc = parts
+    log_den = np.logaddexp.accumulate(np.concatenate(([-math.log(x0_i)], log_inc)))
+    return log_phi - grid.on_slots(log_den)
 
 
 def explicit_logistic_log(model: ModelSpec, i: int, x0_i: float, path: DrivingPath,
@@ -249,8 +246,9 @@ def explicit_logistic_log(model: ModelSpec, i: int, x0_i: float, path: DrivingPa
 
     Safe for long horizons in both the growing and the dying regime.
     """
-    grid, log_phi, log_den = _logistic_log_parts(model, i, x0_i, path, growth_override)
-    return PathSeries(grid, log_phi - grid.on_slots(log_den))
+    check_species(model, i, x0_i)
+    parts = _logistic_log_parts(model, i, path, growth_override)
+    return PathSeries(parts[0], _log_solution(parts, x0_i))
 
 
 def explicit_logistic(model: ModelSpec, i: int, x0_i: float, path: DrivingPath,

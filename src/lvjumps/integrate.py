@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, IntegrationError
-from .model import ModelSpec, as_initial_state, require_valid
+from .model import ModelSpec, as_initial_state, check_species, require_valid
 from .noise import (
     KIND_LABELS,
     DrivingPath,
@@ -177,14 +177,6 @@ def _trajectory(grid: MergedGrid, factors, states, stop) -> Trajectory:
     )
 
 
-def _check_species(model: ModelSpec, i: int, x0_i: float) -> None:
-    require_valid(model)
-    if not (0 <= i < model.n):
-        raise IndexError(f"species index {i} out of range")
-    if not (x0_i > 0):
-        raise ValueError("initial value must be positive")
-
-
 def simulate_system(model: ModelSpec, x0, path: DrivingPath) -> Trajectory:
     """Integrate the full n-species system along one driving path.
 
@@ -227,7 +219,7 @@ def _simulate_paths(model: ModelSpec, x0, paths, species=None):
         rows = range(model.n)
         logx0 = [math.log(v) for v in as_initial_state(x0, model.n).x0]
     else:
-        _check_species(model, species, x0)
+        check_species(model, species, x0)
         rows = [species]
         logx0 = [math.log(float(x0))]
     factors = [_jump_factors(model, path, rows) for path in paths]
@@ -487,7 +479,7 @@ def simulate_lower(
     Raises:
         GridMismatchError: when an upper trajectory lives on another grid.
     """
-    _check_species(model, i, x0_i)
+    check_species(model, i, x0_i)
     if len(uppers) != model.n:
         raise GridMismatchError(f"need {model.n} upper trajectories")
     grid = merge_grid(path)

@@ -140,9 +140,6 @@ class InitialState:
         if any(not math.isfinite(v) or v <= 0 for v in vals):
             raise ModelFormatError("initial populations must be finite and > 0")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.x0, dtype=float)
-
 
 def as_initial_state(x0, n: int) -> InitialState:
     """Coerce an array-like or InitialState to a validated InitialState."""
@@ -247,6 +244,15 @@ def require_valid(model: ModelSpec) -> None:
     report = validate_model(model)
     if not report.ok:
         raise DomainError(f"invalid model: {report}")
+
+
+def check_species(model: ModelSpec, i: int, x0_i: float) -> None:
+    """Raise unless the model is valid, ``i`` names a species and ``x0_i > 0``."""
+    require_valid(model)
+    if not (0 <= i < model.n):
+        raise IndexError(f"species index {i} out of range")
+    if not (x0_i > 0):
+        raise ValueError("initial value must be positive")
 
 
 # --- JSON schema --------------------------------------------------------------

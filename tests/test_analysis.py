@@ -1,9 +1,17 @@
 """Monte Carlo estimators: exact degenerate cases, consistency, determinism."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import lvjumps
 import numpy as np
 import pytest
+from scipy import stats
 
 from lvjumps import (
     MarkSpace,
@@ -12,6 +20,7 @@ from lvjumps import (
     constant_model,
     coupling_contraction,
     estimate_moment,
+    explicit_logistic_log,
     invariant_distance,
     inverse_moment_check,
     lyapunov_functional,
@@ -30,7 +39,7 @@ from lvjumps.analysis import (
     write_mc_csv,
 )
 from lvjumps import integrate
-from lvjumps.analysis import _paths
+from lvjumps.analysis import _ks_statistic
 from lvjumps.errors import PrerequisiteError
 from lvjumps.integrate import simulate_system
 
@@ -154,6 +163,39 @@ def test_coupling_refuses_dying_model(extinct_model):
 def test_invariant_distance_same_start_is_zero(permanent_model):
     res = invariant_distance(permanent_model, 0, 1.0, 1.0, 5.0, 2.0**-5, 50, 21)
     assert res.distance == 0.0
+    assert math.copysign(1.0, res.distance) == 1.0
+
+
+def test_invariant_distance_one_path_warns_nothing(permanent_model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = invariant_distance(permanent_model, 0, 0.5, 2.0, 2.0, 2.0**-5, 1, 21)
+    assert res.distance in (0.0, 1.0)
+
+
+def test_ks_statistic_matches_scipy():
+    # random sizes, tied values and identical samples; the statistic must
+    # carry scipy's bits, +0.0 for identical samples included
+    rng = np.random.default_rng(2024)
+    for k in range(3000):
+        a = rng.normal(size=int(rng.integers(1, 300)))
+        b = rng.normal(0.1, 1.2, size=int(rng.integers(1, 300)))
+        if k % 3 == 1:
+            a, b = np.round(a, 1), np.round(b, 1)
+        elif k % 3 == 2:
+            b = rng.permutation(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy's unused p-value at tiny sizes
+            want = float(stats.ks_2samp(a, b, method="asymp").statistic)
+        assert repr(_ks_statistic(a, b)) == repr(want), (k, len(a), len(b))
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(lvjumps.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, lvjumps; assert 'scipy' not in sys.modules, 'scipy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_invariant_distance_rejects_time_dependence():
@@ -222,22 +264,28 @@ def estimates(model, x0, T, h, n_paths, seed):
         lyapunov_functional_mc(model, x0, T, h, n_paths, seed),
         estimate_moment(model, x0, 1.5, T, h, n_paths, seed, checkpoint_count=7),
         sample_lyapunov_mc(model, 1, x0[1], T, h, n_paths, seed, checkpoint_count=7),
+        inverse_moment_check(model, 0, x0[0], T, h, n_paths, seed, checkpoint_count=7),
+        coupling_contraction(model, 0, x0[0], x0[1], T, h, n_paths, seed, checkpoint_count=7),
+        terminal_sample(model, 1, x0[1], T, h, n_paths, seed, stream_offset=3),
     )
 
 
 def test_batched_estimators_match_single_path_kernels():
-    # the estimators run their paths through the batched kernel; reducing
-    # simulate_system / simulate_upper trajectories path by path must give
-    # the same bytes
+    # the estimators run their paths in batches, the closed-form ones through
+    # the solution's start-free part shared by both starts; reducing
+    # simulate_system / simulate_upper trajectories and explicit_logistic_log
+    # series path by path must give the same bytes
     model = constant_model(
         2, a=(1.5, 1.0), b=[[1.0, 0.3], [0.2, 0.8]], sigma=(0.5, 0.4),
         gamma=((0.3,), (-0.4,)), weights=(1.0,),
     )
     x0, T, h, n_paths, seed = [1.0, 0.7], 4.0, 2.0**-6, 70, 12
-    func, moment, lyap = estimates(model, x0, T, h, n_paths, seed)
+    func, moment, lyap, inverse, coupling, _ = estimates(model, x0, T, h, n_paths, seed)
     checkpoints = default_checkpoints(T, h, 7)
     values, norms, over_t, over_log, finals = [], [], [], [], []
-    for path in _paths(model, T, h, n_paths, seed):
+    inv, inv_diff, half, sign_ok = [], [], [], 0
+    for j in range(n_paths):
+        path = sample_driving_path(model.marks, T, h, derive_path_seed(seed, j))
         traj = simulate_system(model, x0, path)
         values.append(lyapunov_functional(traj, model))
         norms.append(traj.slot_norms()[[traj.grid.slot_at(t) for t in checkpoints]] ** 1.5)
@@ -246,15 +294,28 @@ def test_batched_estimators_match_single_path_kernels():
         over_t.append(series.log_over_t)
         over_log.append(series.log_over_log_t)
         finals.append(upper.values[0, -1])
+        lx = explicit_logistic_log(model, 0, x0[0], path)
+        ly = explicit_logistic_log(model, 0, x0[1], path)
+        slots = [lx.grid.slot_at(t) for t in checkpoints]
+        inv.append(np.exp(-lx.values[slots]))
+        diff = np.exp(-lx.values) - np.exp(-ly.values)
+        sign_ok += int(np.all(diff * np.sign(1.0 / x0[0] - 1.0 / x0[1]) >= 0.0))
+        inv_diff.append(np.abs(diff[slots]))
+        half.append(np.sqrt(np.abs(np.exp(lx.values[slots]) - np.exp(ly.values[slots]))))
     values = np.asarray(values)
     assert func.mean == float(values.mean())
     assert func.std_error == float(values.std(ddof=1) / math.sqrt(n_paths))
     assert (func.n_paths, func.diverged_count) == (n_paths, 0)
-    assert np.array_equal(moment.mean, np.mean(norms, axis=0))
-    assert np.array_equal(moment.std_error, np.std(norms, axis=0, ddof=1) / math.sqrt(n_paths))
-    assert np.array_equal(lyap.over_t.mean, np.mean(over_t, axis=0))
-    assert np.array_equal(lyap.over_log_t.mean, np.mean(over_log, axis=0), equal_nan=True)
     assert np.array_equal(lyap.final_values, np.asarray(finals))
+    assert coupling.sign_consistent_fraction == sign_ok / n_paths
+    for got, samples in (
+        (moment, norms), (lyap.over_t, over_t), (lyap.over_log_t, over_log),
+        (inverse.series, inv), (coupling.inverse_diff, inv_diff),
+        (coupling.half_moment_diff, half),
+    ):
+        assert got.mean.tobytes() == np.mean(samples, axis=0).tobytes()
+        want_se = np.std(samples, axis=0, ddof=1) / math.sqrt(n_paths)
+        assert got.std_error.tobytes() == want_se.tobytes()
 
 
 def test_batch_size_never_changes_an_estimate(monkeypatch):
@@ -267,7 +328,5 @@ def test_batch_size_never_changes_an_estimate(monkeypatch):
     for size in (1, 4, 7):
         monkeypatch.setattr(integrate, "_BATCH_PATHS", size)
         again = estimates(*args)
-        assert again[0] == reference[0]
-        for got, want in ((again[1], reference[1]), (again[2].over_t, reference[2].over_t)):
-            assert np.array_equal(got.mean, want.mean)
-            assert np.array_equal(got.std_error, want.std_error)
+        for got, want in zip(again, reference):
+            assert pickle.dumps(got) == pickle.dumps(want), (size, type(got).__name__)
