@@ -81,13 +81,6 @@ def default_checkpoints(T: float, h: float, count: int = 50) -> np.ndarray:
     return grid[idx]
 
 
-def _checkpoint_slots(grid, checkpoint_times):
-    nodes = np.searchsorted(grid.times, checkpoint_times)
-    if not np.array_equal(grid.times[nodes], checkpoint_times):
-        raise ValueError("checkpoints must lie on the path grid")
-    return grid.node_first_slot[nodes] + grid.is_jump[nodes].astype(np.int64)
-
-
 def _series_from_samples(checkpoints, samples, diverged) -> MCSeries:
     arr = np.asarray(samples, dtype=float)
     n = arr.shape[0]
@@ -181,7 +174,7 @@ def estimate_moment(
     checkpoints = default_checkpoints(T, h, checkpoint_count)
 
     def moment(traj):
-        return traj.slot_norms()[_checkpoint_slots(traj.grid, checkpoints)] ** p
+        return traj.slot_norms()[traj.grid.slots_at(checkpoints)] ** p
 
     (values,) = _per_path(model, T, h, n_paths, seed, [_log_euler(model, state, None, moment)])
     samples, diverged = _kept(values)
@@ -264,8 +257,7 @@ def sample_lyapunov(traj: Trajectory, i: int, checkpoint_times=None) -> Lyapunov
     if checkpoint_times is None:
         checkpoint_times = grid.times[grid.times > 0]
     checkpoint_times = np.asarray(checkpoint_times, dtype=float)
-    slots = _checkpoint_slots(grid, checkpoint_times)
-    logs = np.log(traj.values[i, slots])
+    logs = np.log(traj.values[i, grid.slots_at(checkpoint_times)])
     with np.errstate(divide="ignore", invalid="ignore"):
         over_log = np.where(checkpoint_times > 1.0, logs / np.log(checkpoint_times), np.nan)
     return LyapunovSeries(
@@ -377,7 +369,7 @@ def inverse_moment_check(
     checkpoints = default_checkpoints(T, h, checkpoint_count)
 
     def inverse(grid, log_y):
-        return np.exp(-log_y[_checkpoint_slots(grid, checkpoints)])
+        return np.exp(-log_y[grid.slots_at(checkpoints)])
 
     (samples,) = _per_path(model, T, h, n_paths, seed, [_closed_form(model, i, (x0_i,), inverse)])
     mc = _series_from_samples(checkpoints, samples, 0)
@@ -430,16 +422,16 @@ def coupling_contraction(
     """
     c1 = _require_positive_margin(model, i)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    expected = 1.0 / x - 1.0 / y
 
     def differences(grid, lx, ly):
         inv_diff_all = np.exp(-lx) - np.exp(-ly)
         sign_ok = np.all(inv_diff_all * np.sign(expected) >= 0.0)
-        slots = _checkpoint_slots(grid, checkpoints)
+        slots = grid.slots_at(checkpoints)
         half = np.sqrt(np.abs(np.exp(lx[slots]) - np.exp(ly[slots])))
         return int(sign_ok), np.abs(inv_diff_all[slots]), half
 
-    run = _closed_form(model, i, (x, y), differences)
+    run = _closed_form(model, i, (x, y), differences)  # checks both start values
+    expected = 1.0 / x - 1.0 / y
     (values,) = _per_path(model, T, h, n_paths, seed, [run])
     signs, inv_samples, half_samples = zip(*values)
     inv_mc = _series_from_samples(checkpoints, inv_samples, 0)

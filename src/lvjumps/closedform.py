@@ -36,7 +36,7 @@ import numpy as np
 from .coefficients import CoefficientFn
 from .errors import DomainError, GridMismatchError
 from .model import MarkSpace, ModelSpec, check_species
-from .noise import KIND_LEFT, DrivingPath, MergedGrid, merge_grid
+from .noise import KIND_LEFT, DrivingPath, MergedGrid
 
 __all__ = [
     "LinearJumpSDE",
@@ -96,12 +96,11 @@ def _check_H(H) -> None:
             )
 
 
-def _jump_log_factors(H, path: DrivingPath, grid: MergedGrid):
+def _jump_log_factors(H, path: DrivingPath):
     """Per-node ln(1+H) contribution (0 off jump nodes) and its cumulatives."""
-    add = np.zeros(grid.n_nodes)
-    for idx in np.flatnonzero(grid.is_jump):
-        tau = float(grid.times[idx])
-        k = int(grid.jump_mark[idx])
+    add = np.zeros(path.grid.n_nodes)
+    for idx, tau, k in zip(path.grid.jump_nodes.tolist(), path.jump_times.tolist(),
+                           path.jump_marks.tolist()):
         Hval = float(H[k](tau))
         if Hval <= -1.0:
             raise DomainError(f"jump coefficient at t={tau:g} equals {Hval:g} <= -1")
@@ -111,13 +110,14 @@ def _jump_log_factors(H, path: DrivingPath, grid: MergedGrid):
     return before, incl
 
 
-def _log_phi(F_like, G, H, marks, path: DrivingPath, grid: MergedGrid) -> np.ndarray:
-    """ln Phi on the slots of ``grid``.
+def _log_phi(F_like, G, H, marks, path: DrivingPath) -> np.ndarray:
+    """ln Phi on the slots of the path's grid.
 
     At node ``l`` it is the deterministic plus Brownian exponent plus the jump
     sum, which includes an event at the node itself on the post-jump slot only.
     """
     _check_H(H)
+    grid = path.grid
     times = grid.times
     weights = np.asarray(marks.weights, dtype=float)
 
@@ -140,7 +140,7 @@ def _log_phi(F_like, G, H, marks, path: DrivingPath, grid: MergedGrid) -> np.nda
     mart = np.concatenate(([0.0], np.cumsum(g_left * path.node_increments)))
 
     cont = det + mart
-    before, incl = _jump_log_factors(H, path, grid)
+    before, incl = _jump_log_factors(H, path)
     return grid.on_slots(cont + before, (cont + incl)[grid.is_jump])
 
 
@@ -150,8 +150,7 @@ def fundamental_solution(sde: LinearJumpSDE, path: DrivingPath) -> PathSeries:
     Raises:
         DomainError: if any multiplicative jump coefficient reaches -1.
     """
-    grid = merge_grid(path)
-    return PathSeries(grid, np.exp(_log_phi(sde.F, sde.G, sde.H, sde.marks, path, grid)))
+    return PathSeries(path.grid, np.exp(_log_phi(sde.F, sde.G, sde.H, sde.marks, path)))
 
 
 def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
@@ -163,8 +162,8 @@ def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
     centred event sum combines with the ``H h/(1+H)`` drift term into a plain
     ``- sum_k h_k w_k`` contribution, which is what is integrated here.
     """
-    grid = merge_grid(path)
-    log_phi = _log_phi(sde.F, sde.G, sde.H, sde.marks, path, grid)
+    grid = path.grid
+    log_phi = _log_phi(sde.F, sde.G, sde.H, sde.marks, path)
     phi = np.exp(log_phi)
     phi_inv = np.exp(-log_phi)
 
@@ -199,9 +198,8 @@ def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
     )
 
     ev_add = np.zeros(grid.n_nodes)
-    for idx in np.flatnonzero(grid.is_jump):
-        tau = float(times[idx])
-        k = int(grid.jump_mark[idx])
+    for idx, tau, k in zip(grid.jump_nodes.tolist(), path.jump_times.tolist(),
+                           path.jump_marks.tolist()):
         Hval = float(sde.H[k](tau))
         hval = float(sde.h[k](tau))
         ev_add[idx] = phi_inv[grid.node_first_slot[idx]] * hval / (1.0 + Hval)
@@ -216,9 +214,9 @@ def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
 def _logistic_log_parts(model: ModelSpec, i: int, path: DrivingPath, growth_override=None):
     """``(grid, ln Phi, ln inc)``, the explicit solution's start-free part;
     ``ln inc`` is the log of each interval's trapezoid of ``Phi b``."""
-    grid = merge_grid(path)
+    grid = path.grid
     F = growth_override if growth_override is not None else model.a[i]
-    log_phi = _log_phi(F, model.sigma[i], model.gamma[i], model.marks, path, grid)
+    log_phi = _log_phi(F, model.sigma[i], model.gamma[i], model.marks, path)
 
     times = grid.times
     b = model.B[i][i]

@@ -135,7 +135,7 @@ def _extremize(terms, const, mode) -> ScalarBound:
             const_part += term.weight * float(term.transform(term.coeff.c))
         else:
             varying.append(term)
-    pick = min if mode == "inf" else max
+    pick = np.min if mode == "inf" else np.max
     if not varying:
         return ScalarBound(const_part)
     if all(isinstance(t.coeff, PiecewiseConst) for t in varying):

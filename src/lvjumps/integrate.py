@@ -50,12 +50,7 @@ import numpy as np
 
 from .errors import GridMismatchError, IntegrationError
 from .model import ModelSpec, as_initial_state, check_species, require_valid
-from .noise import (
-    KIND_LABELS,
-    DrivingPath,
-    MergedGrid,
-    merge_grid,
-)
+from .noise import KIND_LABELS, DrivingPath, MergedGrid
 
 __all__ = [
     "Trajectory",
@@ -136,8 +131,7 @@ def _jump_factors(model: ModelSpec, path: DrivingPath, rows) -> np.ndarray:
 def _jumps_by_interval(path: DrivingPath, factors: np.ndarray) -> list:
     """Per interval of ``path``: the factors of the jump at its right node, or None."""
     after = [None] * (len(path.node_times) - 1)
-    nodes = np.searchsorted(path.node_times, path.jump_times).tolist()
-    for node, f in zip(nodes, factors.tolist()):
+    for node, f in zip(path.grid.jump_nodes.tolist(), factors.tolist()):
         after[node - 1] = f
     return after
 
@@ -231,7 +225,7 @@ def _simulate_paths(model: ModelSpec, x0, paths, species=None):
     else:
         runs = _run_batch(model, rows, logx0, paths, factors)
     for path, f, (states, stop) in zip(paths, factors, runs):
-        yield _trajectory(merge_grid(path), f, states, stop)
+        yield _trajectory(path.grid, f, states, stop)
 
 
 def _run_vector(path, logx0, a_vals, B_vals, sig_vals, corr, jump_factors):
@@ -360,7 +354,7 @@ def _run_batch(model, rows, logx0, paths, factors):
     times = [path.node_times for path in paths]
     ends = [len(t) - 1 for t in times]
     jumps_at = (
-        np.concatenate([np.searchsorted(t, path.jump_times) for t, path in zip(times, paths)]),
+        np.concatenate([path.grid.jump_nodes for path in paths]),
         np.repeat(np.arange(P), [path.jump_count for path in paths]),
         np.concatenate(factors),
     )
@@ -482,7 +476,7 @@ def simulate_lower(
     check_species(model, i, x0_i)
     if len(uppers) != model.n:
         raise GridMismatchError(f"need {model.n} upper trajectories")
-    grid = merge_grid(path)
+    grid = path.grid
     start_slots = grid.interval_start_slots()
     frozen = np.zeros((len(start_slots), model.n))
     for j in range(model.n):

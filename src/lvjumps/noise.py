@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,6 +140,12 @@ class DrivingPath:
         """W(T)."""
         return float(self.node_increments.sum())
 
+    @cached_property
+    def grid(self) -> "MergedGrid":
+        """The path's slot layout, built on first use and shared by every
+        trajectory and series computed on this path."""
+        return merge_grid(self)
+
 
 def sample_driving_path(
     marks: MarkSpace,
@@ -169,13 +176,13 @@ def sample_driving_path(
 
     total = marks.total_mass if marks.size else 0.0
     if total > 0:
-        gaps = []
-        acc = 0.0
-        while acc <= T:
-            block = rng.exponential(1.0 / total, _EXP_BLOCK)
-            gaps.append(block)
-            acc += float(block.sum())
-        arrivals = np.cumsum(np.concatenate(gaps))
+        # one sequential running sum across the blocks, so the loop stops on
+        # the very value that decides whether an arrival lies in (0, T]
+        blocks = [np.zeros(1)]
+        while blocks[-1][-1] <= T:
+            gaps = rng.exponential(1.0 / total, _EXP_BLOCK)
+            blocks.append(np.cumsum(np.concatenate((blocks[-1][-1:], gaps)))[1:])
+        arrivals = np.concatenate(blocks[1:])
         jump_times = arrivals[arrivals <= T]
         cum = np.cumsum(np.asarray(marks.weights)) / total
         u = rng.random(len(jump_times))
@@ -211,12 +218,14 @@ class MergedGrid:
 
     Every node carries one slot, except jump nodes which carry a left-limit
     slot followed by a post-jump slot.  ``node_first_slot[l]`` is the slot
-    index of node ``l``'s first (or only) slot.
+    index of node ``l``'s first (or only) slot, and ``jump_nodes[k]`` is the
+    node of the path's ``k``-th jump.  This is the one place that maps jumps
+    and times to nodes and slots.
     """
 
     times: np.ndarray
     is_jump: np.ndarray
-    jump_mark: np.ndarray
+    jump_nodes: np.ndarray
     slot_times: np.ndarray
     slot_kinds: np.ndarray
     node_first_slot: np.ndarray
@@ -229,20 +238,24 @@ class MergedGrid:
     def n_slots(self) -> int:
         return len(self.slot_times)
 
-    def node_index(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t))
-        if idx >= len(self.times) or self.times[idx] != t:
-            raise GridMismatchError(f"time {t!r} is not a grid node")
-        return idx
+    def slots_at(self, times, kind: str = "post") -> np.ndarray:
+        """Slot indices at node times ``times``; ``kind`` picks the left or
+        post-jump slot at a jump node (the cadlag value is the post slot).
+
+        Raises:
+            GridMismatchError: if a time is not a node of the grid.
+        """
+        times = np.asarray(times, dtype=float)
+        nodes = np.minimum(np.searchsorted(self.times, times), self.n_nodes - 1)
+        off = np.ravel(times)[np.ravel(self.times[nodes] != times)]
+        if len(off):
+            raise GridMismatchError(f"time {float(off[0])!r} is not a grid node")
+        slots = self.node_first_slot[nodes]
+        return slots + self.is_jump[nodes] if kind == "post" else slots
 
     def slot_at(self, t: float, kind: str = "post") -> int:
-        """Slot index at node time ``t``; ``kind`` picks the left or
-        post-jump slot at a jump node (the cadlag value is the post slot)."""
-        l = self.node_index(t)
-        base = int(self.node_first_slot[l])
-        if self.is_jump[l] and kind == "post":
-            return base + 1
-        return base
+        """The slot index :meth:`slots_at` gives for the single time ``t``."""
+        return int(self.slots_at(t, kind))
 
     def on_slots(self, at_nodes, at_jumps=None) -> np.ndarray:
         """Slot values from one value per node, ``at_nodes[..., l]`` for node ``l``.
@@ -275,12 +288,11 @@ def merge_grid(path: DrivingPath) -> MergedGrid:
     """Build the slot structure for a path (deduplicated, sorted nodes)."""
     times = path.node_times
     L = len(times)
+    jump_nodes = np.searchsorted(times, path.jump_times)
+    if not np.array_equal(times[jump_nodes], path.jump_times):
+        raise GridMismatchError("jump times missing from path nodes")
     is_jump = np.zeros(L, dtype=bool)
-    jump_mark = np.full(L, -1, dtype=np.int64)
-    if path.jump_count:
-        idx = np.searchsorted(times, path.jump_times)
-        is_jump[idx] = True
-        jump_mark[idx] = path.jump_marks
+    is_jump[jump_nodes] = True
     extra_slots = np.cumsum(is_jump.astype(np.int64))
     node_first_slot = np.arange(L, dtype=np.int64) + extra_slots - is_jump.astype(np.int64)
     S = L + int(is_jump.sum())
@@ -294,7 +306,7 @@ def merge_grid(path: DrivingPath) -> MergedGrid:
     return MergedGrid(
         times=times,
         is_jump=is_jump,
-        jump_mark=jump_mark,
+        jump_nodes=jump_nodes,
         slot_times=slot_times,
         slot_kinds=slot_kinds,
         node_first_slot=node_first_slot,

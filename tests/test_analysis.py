@@ -32,6 +32,7 @@ from lvjumps import (
     simulate_upper,
 )
 from lvjumps.analysis import (
+    _lyapunov_and_functional,
     default_checkpoints,
     derive_path_seed,
     dkw_epsilon,
@@ -158,6 +159,20 @@ def test_coupling_sign_invariance_and_decay(permanent_model):
 def test_coupling_refuses_dying_model(extinct_model):
     with pytest.raises(PrerequisiteError):
         coupling_contraction(extinct_model, 0, 0.5, 2.0, 5.0, 0.125, 5, 1)
+
+
+@pytest.mark.parametrize("x, y", [(0.0, 2.0), (0.5, 0.0), (-1.0, 2.0)])
+def test_coupling_rejects_bad_start_values(permanent_model, x, y):
+    with pytest.raises(ValueError, match="initial value must be positive"):
+        coupling_contraction(permanent_model, 0, x, y, 2.0, 0.125, 5, 1)
+
+
+def test_lyapunov_and_functional_build_one_grid_per_path(monkeypatch, benchmark_model):
+    built = []
+    merge_grid = lvjumps.noise.merge_grid
+    monkeypatch.setattr(lvjumps.noise, "merge_grid", lambda path: built.append(path) or merge_grid(path))
+    _lyapunov_and_functional(benchmark_model, 0, [1.0], 2.0, 0.125, 7, 3, 5)
+    assert len(built) == 7 and len({id(path) for path in built}) == 7
 
 
 def test_invariant_distance_same_start_is_zero(permanent_model):

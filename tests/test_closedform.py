@@ -124,9 +124,8 @@ def sde_residual(sde, y0, path, Y):
     comp = float(np.sum(0.5 * deltas * (comp_s + comp_e)))
     brown = float(np.sum((at_start(sde.G) * Ys + at_start(sde.g)) * path.node_increments))
     events = 0.0
-    for idx in np.flatnonzero(grid.is_jump):
+    for idx, k in zip(np.flatnonzero(grid.is_jump), path.jump_marks.tolist()):
         tau = float(times[idx])
-        k = int(grid.jump_mark[idx])
         y_left = Y.values[grid.node_first_slot[idx]]
         events += y_left * float(sde.H[k](tau)) + float(sde.h[k](tau))
     return Y.final() - y0 - drift - brown - events + comp

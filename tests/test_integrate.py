@@ -10,6 +10,7 @@ import pytest
 from lvjumps import (
     ModelSpec,
     constant_model,
+    noise,
     sample_driving_path,
     simulate_lower,
     simulate_system,
@@ -405,6 +406,24 @@ def test_lower_requires_matching_grid():
     uppers = [simulate_upper(model, i, 1.0, path_b) for i in range(2)]
     with pytest.raises(GridMismatchError):
         simulate_lower(model, 0, 1.0, path_a, uppers)
+
+
+def test_one_path_builds_one_grid(monkeypatch):
+    # the full system and every comparison system of one path share its grid
+    built = []
+    merge_grid = noise.merge_grid
+    monkeypatch.setattr(noise, "merge_grid", lambda path: built.append(path) or merge_grid(path))
+    model = constant_model(
+        3, a=1.0, b=[[1.0, 0.2, 0.1], [0.1, 1.0, 0.3], [0.2, 0.1, 0.9]], sigma=0.3,
+        gamma=0.2, weights=(1.5,),
+    )
+    path = sample_driving_path(model.marks, 2.0, 2.0**-6, 0)
+    assert path.jump_count > 0
+    full = simulate_system(model, [1.0, 1.0, 1.0], path)
+    uppers = [simulate_upper(model, i, 1.0, path) for i in range(3)]
+    lowers = [simulate_lower(model, i, 1.0, path, uppers) for i in range(3)]
+    assert built == [path]
+    assert all(traj.grid is full.grid for traj in uppers + lowers)
 
 
 def test_trajectory_csv_layout(deterministic_model):

@@ -17,8 +17,8 @@ from lvjumps import (
     save_path,
 )
 from lvjumps.analysis import default_checkpoints
-from lvjumps.errors import ConfigurationError
-from lvjumps.noise import KIND_GRID, KIND_LEFT, KIND_POST, derive_path_seed
+from lvjumps.errors import ConfigurationError, GridMismatchError
+from lvjumps.noise import _EXP_BLOCK, KIND_GRID, KIND_LEFT, KIND_POST, derive_path_seed
 
 
 def test_zero_intensity_never_jumps():
@@ -125,6 +125,56 @@ def test_merge_grid_jump_on_grid_node_dedups():
     assert np.array_equal(grid.times, [0.0, 0.5, 1.0])
     assert np.array_equal(grid.slot_times, [0.0, 0.5, 0.5, 1.0])
     assert list(grid.slot_kinds) == [KIND_GRID, KIND_LEFT, KIND_POST, KIND_GRID]
+
+
+def test_slots_at_maps_node_times_to_slots():
+    grid = _path_with_jump_at(0.3).grid
+    assert grid.jump_nodes.tolist() == [1]
+    assert grid.slots_at([0.0, 0.3, 0.5, 1.0]).tolist() == [0, 2, 3, 4]
+    assert grid.slots_at([0.3, 0.5], kind="left").tolist() == [1, 3]
+    assert grid.slot_at(0.3, "left") == 1 and grid.slot_at(1.0) == 4
+    with pytest.raises(GridMismatchError, match="0.4"):
+        grid.slots_at([0.3, 0.4])
+    with pytest.raises(GridMismatchError):
+        grid.slot_at(1.5)
+
+
+def test_grid_rejects_jump_times_off_the_nodes():
+    path = _path_with_jump_at(0.3)
+    moved = DrivingPath(
+        T=path.T, h=path.h, seed=0, mark_count=1, node_times=path.node_times,
+        node_increments=path.node_increments, jump_times=np.asarray([0.25]),
+        jump_marks=path.jump_marks, extra_times=path.extra_times,
+    )
+    with pytest.raises(GridMismatchError):
+        moved.grid
+
+
+def test_arrivals_up_to_T_are_drawn_when_the_block_sums_disagree(monkeypatch):
+    # numpy sums a block pairwise but accumulates the arrivals sequentially;
+    # for these gaps the pairwise sum passes T while the last arrival does not,
+    # so the next block holds one more arrival, exactly at T
+    first = np.full(_EXP_BLOCK, 0.01)
+    last = np.cumsum(first)[-1]
+    T = float(np.nextafter(first.sum(), 0.0))
+    assert last < T < first.sum()
+    second = np.full(_EXP_BLOCK, 1.0)
+    second[0] = T - last
+    blocks = [first, second]
+
+    class Generator:
+        def exponential(self, scale, size):
+            return blocks.pop(0)
+
+        def random(self, size):
+            return np.zeros(size)
+
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
+    path = sample_driving_path(MarkSpace((1.0,)), T, T, 0)
+    assert path.jump_count == _EXP_BLOCK + 1 and path.jump_times[-1] == T
 
 
 def test_bad_time_grid_rejected():
