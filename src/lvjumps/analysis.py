@@ -26,7 +26,7 @@ from .closedform import _log_solution, _logistic_log_parts
 from .coefficients import Const
 from .conditions import compute_regime_report
 from .errors import ConfigurationError, PrerequisiteError
-from .integrate import Trajectory, _batch_size, _simulate_paths, _write_table
+from .integrate import Trajectory, _batch_size, _species_norms, _summarise, _write_table
 from .model import ModelSpec, as_initial_state, check_species
 from .noise import _steps_of, derive_path_seed, sample_driving_path
 
@@ -104,16 +104,25 @@ def _kept(values):
     return kept, len(values) - len(kept)
 
 
+# Closed-form runs go path by path: a wider batch only holds more paths in memory.
+_CLOSED_FORM_PATHS = 64
+
+
 def _per_path(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, runs, offset=0):
     """One list per run of its values on the seeded paths ``offset, ..., offset + n_paths - 1``.
 
     Every estimator's paths come from here; path ``j`` depends only on
-    ``(seed, j)``.  A run is ``(width, run)``: ``run(batch)`` yields one value
-    per path, None where it diverged.  Every run takes each batch in turn,
-    and no value depends on the batch it came from.
+    ``(seed, j)``.  A run is ``(size, run)``: a batch holds at most
+    ``size(nodes)`` paths of about ``nodes`` nodes, and ``run(batch)`` yields
+    one value per path, None where it diverged.  Every run takes each batch in
+    turn, and no value depends on the batch it came from.  Raises
+    :class:`ConfigurationError` when ``n_paths < 1`` or ``seed < 0``.
     """
+    if n_paths < 1 or seed < 0:
+        raise ConfigurationError(f"need n_paths >= 1 and seed >= 0, got {n_paths}, {seed}")
     extra = tuple(b for b in model.pwc_breakpoints() if 0.0 < b < T)
-    size = _batch_size(max(width for width, _ in runs), _steps_of(T, h) + 1)
+    nodes = _steps_of(T, h) + 1
+    size = min(limit(nodes) for limit, _ in runs)
     end = offset + n_paths
     out = [[] for _ in runs]
     for first in range(offset, end, size):
@@ -127,15 +136,16 @@ def _per_path(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, run
     return out
 
 
-def _log_euler(model: ModelSpec, x0, species, reduce):
-    """A run of ``reduce(trajectory)``: the full system from ``x0`` when
-    ``species`` is None, else the upper system of ``species`` from scalar ``x0``."""
+def _log_euler(model: ModelSpec, x0, species, reduce, at=(), trapezoid=False):
+    """A run of ``reduce(at_states, final, terms)`` on each path's summary from
+    :func:`~lvjumps.integrate._summarise`, which takes every path the node
+    budget allows."""
 
     def run(batch):
-        for traj in _simulate_paths(model, x0, batch, species):
-            yield None if traj.diverged else reduce(traj)
+        for summary in _summarise(model, x0, batch, species, at, trapezoid):
+            yield None if summary is None else reduce(*summary)
 
-    return (model.n if species is None else 1), run
+    return partial(_batch_size, model.n if species is None else 1), run
 
 
 def _closed_form(model: ModelSpec, i: int, starts, reduce):
@@ -149,7 +159,7 @@ def _closed_form(model: ModelSpec, i: int, starts, reduce):
             parts = _logistic_log_parts(model, i, path)
             yield reduce(parts[0], *(_log_solution(parts, x0_i) for x0_i in starts))
 
-    return 1, run
+    return (lambda nodes: min(_CLOSED_FORM_PATHS, _batch_size(1, nodes))), run
 
 
 def estimate_moment(
@@ -172,11 +182,9 @@ def estimate_moment(
         raise ValueError("p must be >= 0")
     state = as_initial_state(x0, model.n)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-
-    def moment(traj):
-        return traj.slot_norms()[traj.grid.slots_at(checkpoints)] ** p
-
-    (values,) = _per_path(model, T, h, n_paths, seed, [_log_euler(model, state, None, moment)])
+    moment = lambda at, final, terms: _species_norms(at) ** p  # noqa: E731
+    run = _log_euler(model, state, None, moment, checkpoints)
+    (values,) = _per_path(model, T, h, n_paths, seed, [run])
     samples, diverged = _kept(values)
     return _series_from_samples(checkpoints, samples, diverged)
 
@@ -189,19 +197,23 @@ def lyapunov_functional(traj: Trajectory, model: ModelSpec) -> float:
     if traj.diverged:
         raise ValueError("functional undefined on a diverged trajectory")
     grid = traj.grid
-    T = float(grid.times[-1])
     norms = traj.slot_norms()
-    deltas = np.diff(grid.times)
-    integral = float(
-        np.sum(
-            0.5
-            * deltas
-            * (norms[grid.interval_start_slots()] + norms[grid.interval_end_slots()])
-        )
-    )
-    n = traj.species_count
+    at_ends = norms[grid.interval_start_slots()] + norms[grid.interval_end_slots()]
+    terms = 0.5 * np.diff(grid.times) * at_ends
+    return _growth_functional(model, traj.species_count, float(grid.times[-1]), terms, norms[-1])
+
+
+def _growth_functional(model: ModelSpec, n: int, T: float, terms, last_norm) -> float:
+    """The growth functional of ``n`` species from its trapezoid terms and ``|X(T)|``."""
     b_floor = min(model.B[i][i].infimum for i in range(n))
-    return (math.log(norms[-1]) + (b_floor / math.sqrt(n)) * integral) / T
+    return (math.log(last_norm) + (b_floor / math.sqrt(n)) * float(np.sum(terms))) / T
+
+
+def _functional_run(model: ModelSpec, x0, T: float):
+    """A run of the growth functional of the full system from ``x0``."""
+    functional = lambda at, final, terms: _growth_functional(  # noqa: E731
+        model, model.n, float(T), terms, _species_norms(final))
+    return _log_euler(model, x0, None, functional, trapezoid=True)
 
 
 @dataclass(frozen=True)
@@ -222,8 +234,7 @@ def lyapunov_functional_mc(
 ) -> FunctionalMC:
     """Monte Carlo mean of the growth functional against ``max_i sup a_i``."""
     state = as_initial_state(x0, model.n)
-    functional = partial(lyapunov_functional, model=model)
-    (values,) = _per_path(model, T, h, n_paths, seed, [_log_euler(model, state, None, functional)])
+    (values,) = _per_path(model, T, h, n_paths, seed, [_functional_run(model, state, T)])
     return _functional_mc(model, values)
 
 
@@ -257,14 +268,15 @@ def sample_lyapunov(traj: Trajectory, i: int, checkpoint_times=None) -> Lyapunov
     if checkpoint_times is None:
         checkpoint_times = grid.times[grid.times > 0]
     checkpoint_times = np.asarray(checkpoint_times, dtype=float)
-    logs = np.log(traj.values[i, grid.slots_at(checkpoint_times)])
+    return _lyapunov_series(traj.values[i, grid.slots_at(checkpoint_times)], checkpoint_times)
+
+
+def _lyapunov_series(values, times) -> LyapunovSeries:
+    """:class:`LyapunovSeries` of a population's ``values`` at ``times``."""
+    logs = np.log(values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        over_log = np.where(checkpoint_times > 1.0, logs / np.log(checkpoint_times), np.nan)
-    return LyapunovSeries(
-        times=checkpoint_times,
-        log_over_t=logs / checkpoint_times,
-        log_over_log_t=over_log,
-    )
+        over_log = np.where(times > 1.0, logs / np.log(times), np.nan)
+    return LyapunovSeries(times=times, log_over_t=logs / times, log_over_log_t=over_log)
 
 
 @dataclass(frozen=True)
@@ -286,13 +298,16 @@ def sample_lyapunov_mc(
 ) -> LyapunovMC:
     """Monte Carlo of the scalar upper solution's normalised log population."""
     checkpoints = default_checkpoints(T, h, checkpoint_count)
-    run = _log_euler(model, x0_i, i, _exponents_at(checkpoints))
-    (values,) = _per_path(model, T, h, n_paths, seed, [run])
+    (values,) = _per_path(model, T, h, n_paths, seed, [_exponents_run(model, i, x0_i, checkpoints)])
     return _lyapunov_mc(checkpoints, values)
 
 
-def _exponents_at(checkpoints):
-    return lambda traj: (sample_lyapunov(traj, 0, checkpoints), float(traj.values[0, -1]))
+def _exponents_run(model: ModelSpec, i: int, x0_i: float, checkpoints):
+    """A run of each path's :class:`LyapunovSeries` at ``checkpoints`` and
+    final value, for the upper system of species ``i`` from ``x0_i``."""
+    exponents = lambda at, final, terms: (  # noqa: E731
+        _lyapunov_series(at[0], checkpoints), float(final[0]))
+    return _log_euler(model, x0_i, i, exponents, checkpoints)
 
 
 def _lyapunov_mc(checkpoints, values) -> LyapunovMC:
@@ -317,10 +332,7 @@ def _lyapunov_and_functional(
     state = as_initial_state(x0, model.n)
     upper, system = _per_path(
         model, T, h, n_paths, seed,
-        [
-            _log_euler(model, state.x0[i], i, _exponents_at(checkpoints)),
-            _log_euler(model, state, None, partial(lyapunov_functional, model=model)),
-        ],
+        [_exponents_run(model, i, state.x0[i], checkpoints), _functional_run(model, state, T)],
     )
     return _lyapunov_mc(checkpoints, upper), system
 

@@ -19,25 +19,19 @@ A path is flagged *diverged* (not an error) when a log population leaves the
 window representable by float64 without denormalising; any NaN is a hard
 error.
 
-Every full- and upper-system trajectory comes from :func:`_simulate_paths`.
-It tabulates the coefficients and jump factors and picks a step loop by what
-it is given: :func:`_run_batch` for two or more paths, else :func:`_run_scalar`
-(one species) or :func:`_run_vector` (several), since a batch of one costs 5
-to 35 times as much as those.  The lower system runs :func:`_run_scalar` with
-frozen competitors.  Each loop stores one pre-jump state per node, and
-:func:`_trajectory` places them on the slots; a post-jump state is the
-pre-jump state times the jump's factors, the product the loop continued from.
-
-The single-path loops hold only floats: the coefficient tables are flat lists
-indexed ``l*n + i`` (``l*n*n + i*n + j`` for the interactions) and the node
-states go onto one flat list.  Thousands of per-slot or per-row lists would
-survive the whole path and make CPython's cyclic garbage collector run full
-collections over the whole heap, which cost more than the arithmetic.  The
-batch loop moves every path over its own next interval on (species, paths)
-arrays, so the per-step interpreter work is shared; its arithmetic is the
-single-path loops', elementwise and in the same order, so a path gets the
-same bits alone or in any batch.  States go through libm's ``math.exp`` and
-``math.log`` value by value: numpy's vectorised ``exp`` and ``log`` round
+A single path runs :func:`_run_scalar` (one species, or the lower system
+against frozen competitors) or :func:`_run_vector` (several species), which
+store one pre-jump state per node; :func:`_trajectory` places them on the
+slots, a post-jump state being the pre-jump state times the jump's factors,
+the product the loop continued from.  These loops hold only floats: the
+coefficient tables are flat lists indexed ``l*n + i`` (``l*n*n + i*n + j``
+for the interactions) and the states go onto one flat list, since thousands
+of surviving per-slot lists would make CPython's cyclic garbage collector
+walk the whole heap.  Monte Carlo batches run :func:`_summarise`, which moves
+every path over its own next interval on (species, paths) arrays, with the
+single-path arithmetic elementwise and in the same order, and keeps of each
+path only what its estimator reduces.  States go through libm's ``math.exp``
+and ``math.log`` value by value: numpy's ``exp`` and ``log`` round
 differently on some inputs.
 """
 
@@ -94,7 +88,15 @@ class Trajectory:
 
     def slot_norms(self) -> np.ndarray:
         """Euclidean norm across species, one value per slot."""
-        return np.sqrt(np.sum(self.values * self.values, axis=0))
+        return _species_norms(self.values)
+
+
+def _species_norms(values):
+    """Euclidean norm over the first axis, the squares summed in species order."""
+    total = values[0] * values[0]
+    for v in values[1:]:
+        total += v * v
+    return np.sqrt(total)
 
 
 def _tabulate(model: ModelSpec, t_left, rows, cols):
@@ -122,18 +124,15 @@ def _tabulate(model: ModelSpec, t_left, rows, cols):
 
 
 def _jump_factors(model: ModelSpec, path: DrivingPath, rows) -> np.ndarray:
-    """Per jump of ``path``, the factors ``1 + gamma_row(tau)`` of species ``rows``."""
-    per_jump = zip(path.jump_times.tolist(), path.jump_marks.tolist())
-    factors = [[1.0 + float(model.gamma[i][k](tau)) for i in rows] for tau, k in per_jump]
-    return np.array(factors, dtype=float).reshape(-1, len(rows))
-
-
-def _jumps_by_interval(path: DrivingPath, factors: np.ndarray) -> list:
-    """Per interval of ``path``: the factors of the jump at its right node, or None."""
-    after = [None] * (len(path.node_times) - 1)
-    for node, f in zip(path.grid.jump_nodes.tolist(), factors.tolist()):
-        after[node - 1] = f
-    return after
+    """Per jump of ``path``, the factors ``1 + gamma_row(tau)`` of species ``rows``;
+    one elementwise ``gamma[row][k]`` call covers every jump of mark ``k``."""
+    factors = np.empty((path.jump_count, len(rows)))
+    for k in range(model.mark_count):
+        of_mark = path.jump_marks == k
+        taus = path.jump_times[of_mark]
+        for c, i in enumerate(rows):
+            factors[of_mark, c] = 1.0 + np.asarray(model.gamma[i][k](taus), dtype=float)
+    return factors
 
 
 def _jump(x, factors, t):
@@ -183,8 +182,7 @@ def simulate_system(model: ModelSpec, x0, path: DrivingPath) -> Trajectory:
         IntegrationError: on NaN state.
         DomainError: if the model violates the standing hypotheses.
     """
-    (traj,) = _simulate_paths(model, x0, [path])
-    return traj
+    return _simulate_one(model, x0, path)
 
 
 def simulate_upper(model: ModelSpec, i: int, x0_i: float, path: DrivingPath) -> Trajectory:
@@ -194,38 +192,27 @@ def simulate_upper(model: ModelSpec, i: int, x0_i: float, path: DrivingPath) -> 
     jumps are identical to the full system's, so the result dominates the
     ``i``-th component pathwise.
     """
-    (traj,) = _simulate_paths(model, x0_i, [path], species=i)
-    return traj
+    return _simulate_one(model, x0_i, path, species=i)
 
 
-def _simulate_paths(model: ModelSpec, x0, paths, species=None):
-    """Trajectories of the driving ``paths``, in their order.
-
-    With ``species`` None this is the full system from the initial state
-    ``x0``, otherwise the upper system of species ``species`` from the scalar
-    ``x0``.  Two or more paths advance together in :func:`_run_batch`; a lone
-    path runs :func:`_run_scalar` (width 1) or :func:`_run_vector` (width 2
-    or more), which cost far less for one path.  A path gets the same bits
-    from every loop.
-    """
+def _start(model: ModelSpec, x0, species):
+    """Rows and log start of the full system from ``x0`` (``species`` None)
+    or of the upper system of ``species`` from the scalar ``x0``."""
     if species is None:
         require_valid(model)
-        rows = range(model.n)
-        logx0 = [math.log(v) for v in as_initial_state(x0, model.n).x0]
-    else:
-        check_species(model, species, x0)
-        rows = [species]
-        logx0 = [math.log(float(x0))]
-    factors = [_jump_factors(model, path, rows) for path in paths]
-    if len(paths) == 1:
-        (path,) = paths
-        loop = _run_scalar if len(rows) == 1 else _run_vector
-        tables = _tabulate(model, path.node_times[:-1], rows, rows)
-        runs = [loop(path, logx0, *tables, factors[0])]
-    else:
-        runs = _run_batch(model, rows, logx0, paths, factors)
-    for path, f, (states, stop) in zip(paths, factors, runs):
-        yield _trajectory(path.grid, f, states, stop)
+        return range(model.n), [math.log(v) for v in as_initial_state(x0, model.n).x0]
+    check_species(model, species, x0)
+    return [species], [math.log(float(x0))]
+
+
+def _simulate_one(model: ModelSpec, x0, path: DrivingPath, species=None) -> Trajectory:
+    """Trajectory of one path for the system :func:`_start` picks; the
+    single-path loops cost 5 to 35 times less than a batch of one."""
+    rows, logx0 = _start(model, x0, species)
+    factors = _jump_factors(model, path, rows)
+    loop = _run_scalar if len(rows) == 1 else _run_vector
+    tables = _tabulate(model, path.node_times[:-1], rows, rows)
+    return _trajectory(path.grid, factors, *loop(path, logx0, *tables, factors))
 
 
 def _run_vector(path, logx0, a_vals, B_vals, sig_vals, corr, jump_factors):
@@ -244,7 +231,7 @@ def _run_vector(path, logx0, a_vals, B_vals, sig_vals, corr, jump_factors):
     B_l = B_vals.ravel().tolist()
     s_l = sig_vals.ravel().tolist()
     c_l = corr.ravel().tolist()
-    jumps = _jumps_by_interval(path, jump_factors)
+    jumps = dict(zip((path.grid.jump_nodes - 1).tolist(), jump_factors.tolist()))  # by interval
     logx = list(logx0)
     x = [math.exp(v) for v in logx]
     states = list(x)
@@ -269,7 +256,7 @@ def _run_vector(path, logx0, a_vals, B_vals, sig_vals, corr, jump_factors):
             return states, (l + 1, False)
         x = [math.exp(v) for v in logx]
         states.extend(x)
-        if jumps[l] is not None:
+        if l in jumps:
             x = _jump(x, jumps[l], times[l + 1])
             if x is None:
                 return states, (l + 1, True)
@@ -295,7 +282,7 @@ def _run_scalar(path, logx0, a, b_own, sig, corr, jump_factors, others=(), steps
     dw = path.node_increments.tolist()
     a, b_own, sig, corr = (v.ravel().tolist() for v in (a, b_own, sig, corr))
     width = len(others) // len(dt)
-    jumps = _jumps_by_interval(path, jump_factors)
+    jumps = dict(zip((path.grid.jump_nodes - 1).tolist(), jump_factors.tolist()))  # by interval
     (logz,) = logx0
     z = math.exp(logz)
     states = [z]
@@ -313,7 +300,7 @@ def _run_scalar(path, logx0, a, b_own, sig, corr, jump_factors, others=(), steps
             return states, (l + 1, False)
         z = math.exp(logz)
         states.append(z)
-        if jumps[l] is not None:
+        if l in jumps:
             nxt = _jump([z], jumps[l], times[l + 1])
             if nxt is None:
                 return states, (l + 1, True)
@@ -322,51 +309,48 @@ def _run_scalar(path, logx0, a, b_own, sig, corr, jump_factors, others=(), steps
     return states, (steps + 1, False) if steps < len(dt) else None
 
 
-# Monte Carlo batches: at most this many paths advance together, and a batch
-# stores at most about this many node states (species x nodes x paths), so a
-# long horizon shrinks the batch.  The coefficients are tabulated this many
-# intervals at a time.
-_BATCH_PATHS = 64
+# A Monte Carlo batch of log-Euler paths holds at most about this many node
+# values (species x nodes x paths): every path's noise, grid and functional
+# terms live until the batch ends, so a long horizon gets fewer paths per
+# batch.  The coefficients are tabulated this many intervals at a time.
 _BATCH_STATES = 2**21
 _BLOCK = 128
 
 
 def _batch_size(width: int, nodes: int) -> int:
     """Paths per batch for ``width`` species on paths of about ``nodes`` nodes."""
-    return max(1, min(_BATCH_PATHS, _BATCH_STATES // (width * nodes)))
+    return max(1, _BATCH_STATES // (width * nodes))
 
 
-def _run_batch(model, rows, logx0, paths, factors):
-    """Kernel over a batch: the state of path ``p`` is column ``p`` of (n, P) arrays.
+def _summarise(model: ModelSpec, x0, paths, species=None, at=(), trapezoid=False) -> list:
+    """Batched kernel: what the Monte Carlo estimators reduce, per driving path.
 
-    Step ``l`` advances every path over its own interval ``l`` with the
-    arithmetic of :func:`_run_vector`, in the same order: ``acc`` sums
-    ``b_ij x_j`` over ``j`` ascending, the drift is ``(a - acc - c) dt + s dW``,
-    ``exp`` is libm's, applied value by value, and jumps go through
-    :func:`_jump`.  Every operation is elementwise, so a path gets the same
-    bits in any batch.  A path that has ended (past its last node) or left
-    the log window is retired: its state is reset to log 0 and its remaining
-    ``dt``, ``dW`` and jumps are zero, so it stays put and cannot leave the
-    window again.  Returns, per path, its pre-jump node states (one row per
-    node) and its stop, as :func:`_run_vector` does.
+    The ``paths`` advance together for the system :func:`_start` picks, path
+    ``p`` in column ``p`` of (n, P) arrays, with the arithmetic of
+    :func:`_run_vector` in the same order, elementwise, so a path gets the same
+    bits in any batch.  Past its last node a path has ``dt = dW = 0``; one that
+    leaves the log window is retired, reset to log 0 and given no more steps.
+
+    A diverged path gives None, any other ``(at_states, final, terms)``: its
+    states at the node times ``at`` (post-jump), shape (n, len(at)); its final
+    state; with ``trapezoid``, the growth functional's trapezoid terms
+    ``0.5 dt (|X(t_l)| + |X(t_l+1 -)|)``.  Each block reduces its states into
+    these with the norms and products of a :class:`Trajectory`; each path's
+    terms fill one row, which ``np.sum`` reduces with the trajectory's bits.
     """
+    rows, logx0 = _start(model, x0, species)
     n, P = len(rows), len(paths)
-    times = [path.node_times for path in paths]
-    ends = [len(t) - 1 for t in times]
-    jumps_at = (
-        np.concatenate([path.grid.jump_nodes for path in paths]),
-        np.repeat(np.arange(P), [path.jump_count for path in paths]),
-        np.concatenate(factors),
-    )
-    finishing = {}
-    for p, end in enumerate(ends):
-        finishing.setdefault(end - 1, []).append(p)
-    live = np.ones(P, dtype=bool)
-    stops = [None] * P  # (node, whether its pre-jump state was stored) where a path left
+    ends = np.array([len(path.node_times) - 1 for path in paths])
+    factors = np.concatenate([_jump_factors(model, path, rows) for path in paths])
+    jump_node = np.concatenate([path.grid.jump_nodes for path in paths])
+    jump_path = np.repeat(np.arange(P), [path.jump_count for path in paths])
+    # the nodes at the times ``at``, then the last node
+    nodes = np.column_stack([np.stack([path.grid._nodes_at(at) for path in paths]), ends])
+    states = np.empty((P, n, nodes.shape[1]))
+    terms = np.empty((P, ends.max())) if trapezoid else None
+    live = [True] * P  # False once a path has left the log window
     logx = np.repeat(np.asarray(logx0)[:, None], P, axis=1)
     x = np.fromiter(map(math.exp, logx.ravel().tolist()), float, n * P).reshape(n, P)
-    store = np.empty((max(ends) + 1, n, P))
-    store[0] = x
 
     def retire(p, r):
         """Path ``p`` leaves the batch after block row ``r``."""
@@ -375,11 +359,29 @@ def _run_batch(model, rows, logx0, paths, factors):
         x[:, p] = 1.0
         dt[r + 1 :, p] = 0.0
         sdw[r + 1 :, :, p] = 0.0
-        jumps[r + 1 :, p] = False
 
-    for l0 in range(0, len(store) - 1, _BLOCK):
-        a, B, corr, dt, sdw, jumps, jump_f = _block(model, rows, paths, ends, live, jumps_at, l0)
-        any_jump = jumps.any(axis=1).tolist()
+    for l0 in range(0, ends.max(), _BLOCK):
+        # a path that has ended or left gets dt = dW = 0 and its final time's coefficients
+        top = min(l0 + _BLOCK, ends.max())
+        t_left = np.empty((top - l0 + 1, P))
+        dw = np.zeros((top - l0, P))
+        for p, path in enumerate(paths):
+            k = min(ends[p], top) - l0 if live[p] and ends[p] >= l0 else -1
+            t_left[: k + 1, p] = path.node_times[l0 : l0 + k + 1]
+            t_left[k + 1 :, p] = path.node_times[-1]
+            dw[: max(k, 0), p] = path.node_increments[l0 : l0 + k]
+        a, B, sig, corr = _tabulate(model, t_left[:-1], rows, rows)
+        dt, sdw = t_left[1:] - t_left[:-1], sig * dw[:, None, :]
+        del t_left, dw, sig
+        # pre[r] and post[r]: the states just before and after node l0 + r's jump
+        pre = np.empty((len(dt) + 1, n, P))
+        pre[0] = x
+        # node -> (path, its factors); per block, so few lists live for the cyclic collector
+        jumps_at = {}
+        here = (jump_node > l0) & (jump_node <= top)
+        for node, p, f in zip(*(v[here].tolist() for v in (jump_node, jump_path, factors))):
+            jumps_at.setdefault(node, []).append((p, f))
+        jumped = []
         for r in range(len(dt)):
             l = l0 + r
             Br = B[r]
@@ -394,58 +396,40 @@ def _run_batch(model, rows, logx0, paths, factors):
             if not (LOG_LOW < logx.min() and logx.max() < LOG_HIGH):
                 if np.isnan(logx).any():
                     p = int(np.flatnonzero(np.isnan(logx).any(axis=0))[0])
-                    raise IntegrationError(f"NaN state at t={float(times[p][l + 1])!r}")
+                    raise IntegrationError(f"NaN state at t={float(paths[p].node_times[l + 1])!r}")
                 inside = ((LOG_LOW < logx) & (logx < LOG_HIGH)).all(axis=0)
                 for p in np.flatnonzero(~inside).tolist():
-                    stops[p] = (l + 1, False)
                     retire(p, r)
             x = np.fromiter(map(math.exp, logx.ravel().tolist()), float, n * P).reshape(n, P)
-            store[l + 1] = x
-            if any_jump[r]:
-                for p in jumps[r].nonzero()[0].tolist():
-                    nxt = _jump(x[:, p].tolist(), jump_f[r, :, p].tolist(), times[p][l + 1])
+            pre[r + 1] = x
+            for p, f in jumps_at.get(l + 1, ()):
+                if live[p]:
+                    nxt = _jump(x[:, p].tolist(), f, paths[p].node_times[l + 1])
                     if nxt is None:
-                        stops[p] = (l + 1, True)
                         retire(p, r)
                     else:
                         x[:, p] = nxt
                         logx[:, p] = [math.log(v) for v in nxt]
-            for p in finishing.get(l, ()):
-                retire(p, r)
-        # free this block's tables before the next block's are built
-        del a, B, corr, dt, sdw, jumps, jump_f
+                        jumped.append((r + 1, p, nxt))
+        post = pre.copy()
+        for r, p, nxt in jumped:
+            post[r, :, p] = nxt
+        p, c = np.nonzero((nodes >= l0) & (nodes <= top))
+        states[p, :, c] = post[nodes[p, c] - l0, :, p]
+        if trapezoid:
+            # the states a diverged path left behind may overflow; they are never read
+            with np.errstate(over="ignore", invalid="ignore"):
+                start = _species_norms(post[:-1].transpose(1, 0, 2))
+                end = _species_norms(pre[1:].transpose(1, 0, 2))
+                terms[:, l0:top] = (0.5 * dt * (start + end)).T
+        # free this block's arrays before the next block's are built
+        del a, B, corr, dt, sdw, pre, post, jumps_at, jumped
 
-    return [(store[: end + 1, :, p], stop) for p, (end, stop) in enumerate(zip(ends, stops))]
-
-
-def _block(model, rows, paths, ends, live, jumps_at, l0):
-    """Inputs of the batch's intervals ``l0, l0 + 1, ...``, at most ``_BLOCK`` of them.
-
-    Returns the coefficient tables of :func:`_tabulate` (without sigma),
-    ``dt``, ``sigma * dW``, the jump mask and the jump factors, each with
-    a leading row per interval and a trailing column per path.  A path that
-    has ended or left the batch gets ``dt = dW = 0``, no jumps and
-    coefficients evaluated at its final time.  ``jumps_at`` holds every jump
-    of the batch as node, path and factors.
-    """
-    n, P = len(rows), len(paths)
-    size = min(_BLOCK, max(ends) - l0)
-    nodes = np.empty((size + 1, P))
-    dw = np.zeros((size, P))
-    for p, path in enumerate(paths):
-        t = path.node_times
-        k = min(ends[p] - l0, size) if live[p] else -1
-        nodes[: k + 1, p] = t[l0 : l0 + k + 1]
-        nodes[k + 1 :, p] = t[-1]
-        dw[: max(k, 0), p] = path.node_increments[l0 : l0 + k]
-    node, path_of, factors = jumps_at
-    here = (node > l0) & (node <= l0 + size) & live[path_of]
-    jumps = np.zeros((size, P), dtype=bool)
-    jumps[node[here] - l0 - 1, path_of[here]] = True
-    jump_f = np.ones((size, n, P))
-    jump_f[node[here] - l0 - 1, :, path_of[here]] = factors[here]
-    a, B, sig, corr = _tabulate(model, nodes[:-1], rows, rows)
-    return a, B, corr, nodes[1:] - nodes[:-1], sig * dw[:, None, :], jumps, jump_f
+    return [
+        (states[p, :, :-1], states[p, :, -1], None if terms is None else terms[p, : ends[p]])
+        if live[p] else None
+        for p in range(P)
+    ]
 
 
 def simulate_lower(

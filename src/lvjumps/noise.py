@@ -220,15 +220,13 @@ class MergedGrid:
     slot followed by a post-jump slot.  ``node_first_slot[l]`` is the slot
     index of node ``l``'s first (or only) slot, and ``jump_nodes[k]`` is the
     node of the path's ``k``-th jump.  This is the one place that maps jumps
-    and times to nodes and slots.
+    and times to nodes and slots.  The slot arrays are built on first use:
+    the log-Euler Monte Carlo estimators work on nodes alone.
     """
 
     times: np.ndarray
     is_jump: np.ndarray
     jump_nodes: np.ndarray
-    slot_times: np.ndarray
-    slot_kinds: np.ndarray
-    node_first_slot: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -236,11 +234,27 @@ class MergedGrid:
 
     @property
     def n_slots(self) -> int:
-        return len(self.slot_times)
+        return len(self.times) + len(self.jump_nodes)
 
-    def slots_at(self, times, kind: str = "post") -> np.ndarray:
-        """Slot indices at node times ``times``; ``kind`` picks the left or
-        post-jump slot at a jump node (the cadlag value is the post slot).
+    @cached_property
+    def node_first_slot(self) -> np.ndarray:
+        before = np.cumsum(self.is_jump) - self.is_jump
+        return np.arange(self.n_nodes, dtype=np.int64) + before
+
+    @cached_property
+    def slot_times(self) -> np.ndarray:
+        return self.on_slots(self.times)
+
+    @cached_property
+    def slot_kinds(self) -> np.ndarray:
+        kinds = np.full(self.n_slots, KIND_GRID, dtype=np.int8)
+        left = self.node_first_slot[self.jump_nodes]
+        kinds[left] = KIND_LEFT
+        kinds[left + 1] = KIND_POST
+        return kinds
+
+    def _nodes_at(self, times) -> np.ndarray:
+        """Node indices at node times ``times``.
 
         Raises:
             GridMismatchError: if a time is not a node of the grid.
@@ -250,6 +264,16 @@ class MergedGrid:
         off = np.ravel(times)[np.ravel(self.times[nodes] != times)]
         if len(off):
             raise GridMismatchError(f"time {float(off[0])!r} is not a grid node")
+        return nodes
+
+    def slots_at(self, times, kind: str = "post") -> np.ndarray:
+        """Slot indices at node times ``times``; ``kind`` picks the left or
+        post-jump slot at a jump node (the cadlag value is the post slot).
+
+        Raises:
+            GridMismatchError: if a time is not a node of the grid.
+        """
+        nodes = self._nodes_at(times)
         slots = self.node_first_slot[nodes]
         return slots + self.is_jump[nodes] if kind == "post" else slots
 
@@ -293,24 +317,7 @@ def merge_grid(path: DrivingPath) -> MergedGrid:
         raise GridMismatchError("jump times missing from path nodes")
     is_jump = np.zeros(L, dtype=bool)
     is_jump[jump_nodes] = True
-    extra_slots = np.cumsum(is_jump.astype(np.int64))
-    node_first_slot = np.arange(L, dtype=np.int64) + extra_slots - is_jump.astype(np.int64)
-    S = L + int(is_jump.sum())
-    slot_times = np.empty(S, dtype=float)
-    slot_kinds = np.empty(S, dtype=np.int8)
-    slot_times[node_first_slot] = times
-    slot_kinds[node_first_slot] = np.where(is_jump, KIND_LEFT, KIND_GRID)
-    post = node_first_slot[is_jump] + 1
-    slot_times[post] = times[is_jump]
-    slot_kinds[post] = KIND_POST
-    return MergedGrid(
-        times=times,
-        is_jump=is_jump,
-        jump_nodes=jump_nodes,
-        slot_times=slot_times,
-        slot_kinds=slot_kinds,
-        node_first_slot=node_first_slot,
-    )
+    return MergedGrid(times=times, is_jump=is_jump, jump_nodes=jump_nodes)
 
 
 def coarsen_path(path: DrivingPath, factor: int) -> DrivingPath:

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,16 +33,18 @@ from lvjumps import (
     simulate_upper,
 )
 from lvjumps.analysis import (
+    _functional_run,
     _lyapunov_and_functional,
+    _per_path,
     default_checkpoints,
     derive_path_seed,
     dkw_epsilon,
     terminal_sample,
     write_mc_csv,
 )
-from lvjumps import integrate
+from lvjumps import analysis
 from lvjumps.analysis import _ks_statistic
-from lvjumps.errors import PrerequisiteError
+from lvjumps.errors import ConfigurationError, PrerequisiteError
 from lvjumps.integrate import simulate_system
 
 
@@ -340,8 +343,107 @@ def test_batch_size_never_changes_an_estimate(monkeypatch):
     )
     args = (model, [0.8, 1.3], 3.0, 2.0**-6, 23, 5)
     reference = estimates(*args)
-    for size in (1, 4, 7):
-        monkeypatch.setattr(integrate, "_BATCH_PATHS", size)
+    for size in (1, 4, 7, 23):  # 23: one batch holds every path
+        monkeypatch.setattr(analysis, "_batch_size", lambda width, nodes: size)
         again = estimates(*args)
         for got, want in zip(again, reference):
             assert pickle.dumps(got) == pickle.dumps(want), (size, type(got).__name__)
+
+
+ESTIMATORS = {
+    "estimate_moment": lambda m, n_paths, seed: estimate_moment(
+        m, [1.0], 2.0, 2.0, 0.25, n_paths, seed),
+    "lyapunov_functional_mc": lambda m, n_paths, seed: lyapunov_functional_mc(
+        m, [1.0], 2.0, 0.25, n_paths, seed),
+    "sample_lyapunov_mc": lambda m, n_paths, seed: sample_lyapunov_mc(
+        m, 0, 1.0, 2.0, 0.25, n_paths, seed),
+    "_lyapunov_and_functional": lambda m, n_paths, seed: _lyapunov_and_functional(
+        m, 0, [1.0], 2.0, 0.25, n_paths, seed, 5),
+    "inverse_moment_check": lambda m, n_paths, seed: inverse_moment_check(
+        m, 0, 1.0, 2.0, 0.25, n_paths, seed),
+    "coupling_contraction": lambda m, n_paths, seed: coupling_contraction(
+        m, 0, 0.5, 2.0, 2.0, 0.25, n_paths, seed),
+    "terminal_sample": lambda m, n_paths, seed: terminal_sample(
+        m, 0, 1.0, 2.0, 0.25, n_paths, seed),
+    "invariant_distance": lambda m, n_paths, seed: invariant_distance(
+        m, 0, 0.5, 2.0, 2.0, 0.25, n_paths, seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_estimators_reject_no_paths_and_negative_seeds(permanent_model, name):
+    estimator = ESTIMATORS[name]
+    estimator(permanent_model, 1, 0)  # the smallest valid call runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n_paths, seed in ((0, 1), (-3, 1), (2, -1)):
+            with pytest.raises(ConfigurationError, match="n_paths >= 1 and seed >= 0"):
+                estimator(permanent_model, n_paths, seed)
+
+
+def test_functional_of_long_paths_matches_the_trajectory_functional():
+    # more than 8,192 intervals per path: np.sum of one path's terms is no
+    # longer one pairwise tree, and each path's row must still give its bits
+    model = constant_model(
+        2, a=(1.5, 1.0), b=[[1.0, 0.3], [0.2, 0.8]], sigma=(0.5, 0.4),
+        gamma=((0.3,), (-0.4,)), weights=(1.0,),
+    )
+    x0, T, h, seed = [1.0, 0.7], 130.0, 2.0**-6, 8
+    assert T / h > 8192
+    for n_paths in (1, 3):
+        (values,) = _per_path(model, T, h, n_paths, seed, [_functional_run(model, x0, T)])
+        for j, value in enumerate(values):
+            path = sample_driving_path(model.marks, T, h, derive_path_seed(seed, j))
+            assert repr(value) == repr(lyapunov_functional(simulate_system(model, x0, path), model))
+
+
+def test_moments_of_three_species_match_slot_norms():
+    # the norm sums three squares, where the order of the additions shows
+    model = constant_model(
+        3, a=(1.5, 1.0, 1.2), b=[[1.0, 0.3, 0.1], [0.2, 0.8, 0.2], [0.3, 0.1, 0.9]],
+        sigma=(0.5, 0.4, 0.7), gamma=((0.3,), (-0.4,), (0.9,)), weights=(1.3,),
+    )
+    x0, T, h, seed = [1.0, 0.7, 1.3], 2.0, 2.0**-6, 4
+    for count in (1, 6):
+        checkpoints = default_checkpoints(T, h, count)
+        series = estimate_moment(model, x0, 1.0, T, h, 5, seed, checkpoint_count=count)
+        norms = []
+        for j in range(5):
+            path = sample_driving_path(model.marks, T, h, derive_path_seed(seed, j))
+            traj = simulate_system(model, x0, path)
+            norms.append(traj.slot_norms()[traj.grid.slots_at(checkpoints)])
+        assert series.mean.tobytes() == np.mean(norms, axis=0).tobytes()
+
+
+def traced_peak_mb(call, warm_up):
+    """Peak traced allocation of ``call()`` in MB, after ``warm_up()`` has
+    filled the caches that every call shares."""
+    warm_up()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_coupling_memory_stays_flat(permanent_model):
+    # closed-form batches stay at 64 paths: 3.5 MB, 18 MB with no cap
+    peak = traced_peak_mb(
+        lambda: coupling_contraction(permanent_model, 0, 0.5, 2.0, 20.0, 2.0**-6, 400, 7),
+        lambda: coupling_contraction(permanent_model, 0, 0.5, 2.0, 1.0, 2.0**-6, 2, 7),
+    )
+    assert peak <= 4.0
+
+
+def test_functional_memory_stays_flat():
+    # one batch of all 100 paths keeps no node states and no slot arrays
+    model = constant_model(
+        2, a=(1.5, 1.0), b=[[1.0, 0.3], [0.2, 0.8]], sigma=(0.5, 0.4),
+        gamma=((0.3,), (-0.4,)), weights=(1.0,),
+    )
+    peak = traced_peak_mb(
+        lambda: lyapunov_functional_mc(model, [1.0, 1.0], 50.0, 2.0**-6, 100, 7),
+        lambda: lyapunov_functional_mc(model, [1.0, 1.0], 1.0, 2.0**-6, 2, 7),
+    )
+    assert peak <= 11.7

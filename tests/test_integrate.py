@@ -3,6 +3,7 @@
 import gc
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lvjumps import (
 )
 from lvjumps.analysis import lyapunov_functional_mc
 from lvjumps.errors import DomainError, GridMismatchError, IntegrationError
-from lvjumps.integrate import _simulate_paths
+from lvjumps.integrate import _summarise
 from lvjumps.noise import DrivingPath
 from conftest import random_valid_model, random_x0
 
@@ -260,7 +261,7 @@ def test_nan_error_names_the_time_as_a_plain_float(n):
     calls = [
         lambda: simulate_system(model, [1.0] * n, bad),
         lambda: simulate_upper(model, 0, 1.0, bad),
-        lambda: list(_simulate_paths(model, [1.0] * n, [bad])),
+        lambda: _summarise(model, [1.0] * n, [bad]),
     ]
     for call in calls:
         with pytest.raises(IntegrationError) as err:
@@ -268,12 +269,38 @@ def test_nan_error_names_the_time_as_a_plain_float(n):
         assert str(err.value) == "NaN state at t=0.5"
 
 
+def assert_summary_of(summary, traj, at, trapezoid=True):
+    """``summary`` holds what ``traj`` gives at the node times ``at``, at its
+    end and, with ``trapezoid``, in its growth functional's trapezoid terms."""
+    if traj.diverged:
+        assert summary is None
+        return
+    at_states, final, terms = summary
+    grid = traj.grid
+    assert at_states.tobytes() == traj.values[:, grid.slots_at(at)].tobytes()
+    assert final.tobytes() == traj.values[:, -1].tobytes()
+    if not trapezoid:
+        assert terms is None
+        return
+    norms = traj.slot_norms()
+    want = 0.5 * np.diff(grid.times) * (
+        norms[grid.interval_start_slots()] + norms[grid.interval_end_slots()]
+    )
+    assert terms.tobytes() == want.tobytes()
+
+
+def uniform_nodes(T, h):
+    return np.linspace(0.0, T, round(T / h) + 1)[1:]
+
+
 def test_batched_kernel_matches_single_path_kernels():
-    # the batched Monte Carlo kernel must give every path the bytes of
-    # simulate_system / simulate_upper, NaN slots and divergence included
+    # the batched Monte Carlo kernel must give every path what simulate_system
+    # / simulate_upper give it: the states at every uniform node, and at every
+    # jump node for a path alone, the final state and the functional's
+    # trapezoid terms, which hold the norms before and after every jump
     rng = np.random.default_rng(31)
     checked = 0
-    for _ in range(40):
+    for k in range(40):
         model = random_valid_model(rng)
         x0 = random_x0(rng, model.n)
         extra = tuple(b for b in model.pwc_breakpoints() if 0 < b < 3.0)
@@ -282,13 +309,19 @@ def test_batched_kernel_matches_single_path_kernels():
                                 extra_times=extra)
             for _ in range(5)
         ]
-        for path, traj in zip(paths, _simulate_paths(model, x0, paths)):
-            assert_same_trajectory(traj, simulate_system(model, x0, path))
+        at = uniform_nodes(3.0, 2.0**-8)[k % 3 :: 1 + k % 4]
+        for path, summary in zip(paths, _summarise(model, x0, paths, at=at, trapezoid=True)):
+            assert_summary_of(summary, simulate_system(model, x0, path), at)
             checked += 1
         for i in range(model.n):
-            for path, traj in zip(paths, _simulate_paths(model, x0[i], paths, species=i)):
-                assert_same_trajectory(traj, simulate_upper(model, i, x0[i], path))
+            summaries = _summarise(model, x0[i], paths, i, at, trapezoid=k % 2 == 0)
+            for path, summary in zip(paths, summaries):
+                assert_summary_of(summary, simulate_upper(model, i, x0[i], path), at, k % 2 == 0)
                 checked += 1
+        path = paths[k % 5]
+        at = np.union1d(at, path.jump_times)
+        (summary,) = _summarise(model, x0, [path], at=at, trapezoid=True)
+        assert_summary_of(summary, simulate_system(model, x0, path), at)
     assert checked > 400
     # at h = 2^-5 one tabulation block spans 4 time units: a path that has
     # left the window would leave it again within the block if it moved on
@@ -296,11 +329,14 @@ def test_batched_kernel_matches_single_path_kernels():
     for n, h in ((1, 2.0**-8), (2, 2.0**-8), (3, 2.0**-8), (2, 2.0**-5)):
         model = diverging_model(n)
         paths = [sample_driving_path(model.marks, 5.0, h, seed) for seed in range(4)]
-        for path, traj in zip(paths, _simulate_paths(model, [1.0] * n, paths)):
-            assert_same_trajectory(traj, simulate_system(model, [1.0] * n, path))
+        at = uniform_nodes(5.0, h)
+        for path, summary in zip(paths, _summarise(model, [1.0] * n, paths, at=at, trapezoid=True)):
+            traj = simulate_system(model, [1.0] * n, path)
+            assert_summary_of(summary, traj, at)
             diverged += traj.diverged
-        for path, traj in zip(paths, _simulate_paths(model, 1.0, paths, species=0)):
-            assert_same_trajectory(traj, simulate_upper(model, 0, 1.0, path))
+        for path, summary in zip(paths, _summarise(model, 1.0, paths, 0, at, trapezoid=True)):
+            traj = simulate_upper(model, 0, 1.0, path)
+            assert_summary_of(summary, traj, at)
             diverged += traj.diverged
     assert diverged == 32
 
@@ -312,9 +348,10 @@ def test_batched_kernel_handles_paths_of_different_lengths():
     )
     paths = [sample_driving_path(model.marks, 4.0, 2.0**-6, seed) for seed in range(6)]
     assert len({len(p.node_times) for p in paths}) > 3
-    for path, traj in zip(paths, _simulate_paths(model, [0.8, 1.3], paths)):
-        assert not traj.diverged
-        assert_same_trajectory(traj, simulate_system(model, [0.8, 1.3], path))
+    at = uniform_nodes(4.0, 2.0**-6)
+    for path, summary in zip(paths, _summarise(model, [0.8, 1.3], paths, at=at, trapezoid=True)):
+        assert summary is not None
+        assert_summary_of(summary, simulate_system(model, [0.8, 1.3], path), at)
 
 
 def test_a_path_gets_the_same_bytes_alone_and_in_a_batch_of_257():
@@ -323,13 +360,16 @@ def test_a_path_gets_the_same_bytes_alone_and_in_a_batch_of_257():
         gamma=((0.4,), (-0.3,)), weights=(1.0,),
     )
     paths = [sample_driving_path(model.marks, 2.0, 2.0**-6, seed) for seed in range(257)]
-    among = list(_simulate_paths(model, [0.8, 1.3], paths))
+    at = uniform_nodes(2.0, 2.0**-6)
+
+    def summary_bytes(batch, k):
+        return pickle.dumps(_summarise(model, [0.8, 1.3], batch, at=at, trapezoid=True)[k])
+
+    among = _summarise(model, [0.8, 1.3], paths, at=at, trapezoid=True)
     for k in (0, 128, 256):
-        # a lone path runs the single-path loop; two is the smallest batch
-        (alone,) = _simulate_paths(model, [0.8, 1.3], [paths[k]])
-        paired, _ = _simulate_paths(model, [0.8, 1.3], [paths[k], paths[k - 1]])
-        assert_same_trajectory(alone, among[k])
-        assert_same_trajectory(paired, among[k])
+        assert summary_bytes([paths[k]], 0) == pickle.dumps(among[k])
+        assert summary_bytes([paths[k], paths[k - 1]], 0) == pickle.dumps(among[k])
+        assert_summary_of(among[k], simulate_system(model, [0.8, 1.3], paths[k]), at)
 
 
 def test_nan_increment_in_one_path_of_a_batch_is_hard_error():
@@ -337,7 +377,7 @@ def test_nan_increment_in_one_path_of_a_batch_is_hard_error():
     paths = [sample_driving_path(model.marks, 1.0, 0.25, seed) for seed in range(5)]
     paths[3] = with_nan_increment(paths[3], 2)
     with pytest.raises(IntegrationError, match="NaN state at t=0.75"):
-        list(_simulate_paths(model, [1.0, 1.0], paths))
+        _summarise(model, [1.0, 1.0], paths)
 
 
 @pytest.mark.parametrize("seed, cut", [(0, 0.910), (1, 0.961), (2, 0.891), (3, 1.023)])
