@@ -382,16 +382,19 @@ def cmd_sweep(args) -> int:
         for s in compute_regime_report(_with_value(model, target, v)).species
     ]
     bounds = ("eta", "c1", "net_growth_inf", "competition_margin")
+    rows = [[getattr(s, b) for b in bounds] for _, s in points]
     with open(out / "sweep.csv", "w", encoding="utf-8") as fh:
         _write_table(
             fh,
-            ["param", "value", "species", "classification", *bounds],
+            ["param", "value", "species", "classification", *bounds, "exact", "tolerance"],
             [
                 [args.param] * len(points),
                 [v for v, _ in points],
                 [str(s.species) for _, s in points],
                 [s.classification for _, s in points],
                 *([getattr(s, b).value for _, s in points] for b in bounds),
+                [str(all(b.exact for b in row)).lower() for row in rows],
+                [max(b.tolerance for b in row) for row in rows],
             ],
         )
     print(f"wrote {out / 'sweep.csv'} ({len(values)} grid points)")

@@ -289,6 +289,44 @@ def test_sweep_boundary(tmp_path):
     assert lo < 0.6931471805599453 < hi + 1e-12
 
 
+# a - sigma^2 dips to -0.04 only where the peaks of two unrelated sinusoids meet
+BEAT_MODEL = {
+    "n": 1,
+    "a": [{"type": "sin", "base": 1.1, "amp": 0.5, "omega": 1.0, "phase": 0.0}],
+    "B": [[{"type": "const", "c": 1.0}]],
+    "sigma": [{"type": "sin", "base": 0.5, "amp": 0.3, "omega": 1.001, "phase": 0.0}],
+    "marks": {"weights": [1.0]},
+    "gamma": [[{"type": "const", "c": 0.1}]],
+}
+
+
+def _refuse_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_classification_json_has_no_bare_infinity(tmp_path):
+    f = tmp_path / "beat.json"
+    f.write_text(json.dumps(BEAT_MODEL))
+    out = tmp_path / "o"
+    assert main(["classify", "--model", str(f), "--out", str(out)]) == 0
+    report = json.loads((out / "classification.json").read_text(), parse_constant=_refuse_constant)
+    c1 = report["species"][0]["exactness"]["c1"]
+    assert c1 == {"value": pytest.approx(-0.04 - 0.01 / 1.1), "exact": False, "tolerance": None}
+    assert report["classification"] != "PERMANENT"
+
+
+def test_sweep_reports_exactness_and_tolerance(tmp_path, model_file):
+    f = tmp_path / "beat.json"
+    f.write_text(json.dumps(BEAT_MODEL))
+    for model, exact, tolerance in ((f, "false", "inf"), (model_file, "true", "0")):
+        out = tmp_path / f"o_{exact}"
+        args = ["--param", "weights[0]", "--values", "0.5,1"]
+        assert main(["sweep", "--model", str(model), "--out", str(out), *args]) == 0
+        header, *rows = (out / "sweep.csv").read_text().splitlines()
+        assert header.endswith(",competition_margin,exact,tolerance")
+        assert [row.split(",")[-2:] for row in rows] == [[exact, tolerance]] * 2
+
+
 def test_sweep_empty_grid_exit_2(model_file, tmp_path):
     assert main(
         ["sweep", "--model", str(model_file), "--out", str(tmp_path / "o"),

@@ -23,6 +23,8 @@ from lvjumps.conditions import (
     jump_quadratic_rate_bound,
     log_jump_quadratic_bound,
 )
+from lvjumps.analysis import inverse_moment_check
+from lvjumps.errors import PrerequisiteError
 from conftest import random_valid_model
 
 LOG2 = math.log(2.0)
@@ -176,6 +178,46 @@ def test_mixed_sinusoids_fall_back_to_sampling():
     assert s.c1.value == pytest.approx(brute, abs=max(1e-6, 2 * s.c1.tolerance))
 
 
+def test_beat_counterexample_is_not_permanent():
+    # a - sigma^2 reaches 0.6 - 0.64 = -0.04 only where the two sinusoids'
+    # extremes meet, about 3,140 time units in
+    m = ModelSpec(
+        n=1,
+        a=(Sinusoid(1.1, 0.5, 1.0),),
+        B=((Const(1.0),),),
+        sigma=(Sinusoid(0.5, 0.3, 1.001),),
+        gamma=((),),
+        marks=MarkSpace(()),
+    )
+    s = compute_regime_report(m).species[0]
+    assert s.c1.value <= -0.0399
+    assert s.classification != CLASS_PERMANENT
+    with pytest.raises(PrerequisiteError):
+        inverse_moment_check(m, 0, 1.0, 1.0, 2.0**-4, 2, 0)
+
+
+def test_competition_margin_is_safe_where_competitor_growth_changes_sign():
+    # beta_2 = a_2 - 0.405 swings through 0 in phase with beta_1, where a larger
+    # ratio raises the margin; b_12 / b_22 mixes two angles, so its reported
+    # sup (0.8 / 0.8) lies above every value it attains
+    w = math.sqrt(2.0)
+    m = ModelSpec(
+        n=2,
+        a=(Sinusoid(0.6, 0.5, w), Sinusoid(0.5, 0.45, w)),
+        B=((Const(1.0), Sinusoid(0.5, 0.3, 1.3)), (Const(0.2), Sinusoid(1.0, 0.2, 0.7))),
+        sigma=(Const(0.3), Const(0.9)),
+        gamma=((), ()),
+        marks=MarkSpace(()),
+    )
+    rep = compute_regime_report(m)
+    ts = np.arange(0.0, 2000.0, 0.01)
+    ratio = np.max(m.B[0][1](ts) / m.B[1][1](ts))
+    beta = [m.a[i](ts) - 0.5 * m.sigma[i](ts) ** 2 for i in range(2)]
+    assert np.min(beta[1]) < 0.0 < np.max(beta[1])
+    assert rep.interaction_ratios[0][1].value > ratio
+    assert rep.species[0].competition_margin.value <= np.min(beta[0] - ratio * beta[1])
+
+
 def test_classification_is_permutation_equivariant():
     rng = np.random.default_rng(17)
     for _ in range(8):
@@ -252,3 +294,107 @@ def test_report_payload_shape():
     assert payload["species"][0]["flags"]["extinct"] is True
     assert set(payload["species"][0]["abs_jump_moment_bounds"]) == {"1.5", "2"}
     assert payload["p_list"] == [1.5, 2.0]
+
+
+# --- brute force: every reported bound against a dense sample -----------------
+
+_HORIZON = np.union1d(np.arange(0.0, 300.0, 0.01), [300.0])
+
+
+def _dense(fn, breaks, mode):
+    """Extremum of ``fn`` over a dense grid of [0, 300] (breakpoints included),
+    refined around the best nodes: an attained value, so never past the true one."""
+    ts = np.union1d(_HORIZON, breaks)
+    vals = np.broadcast_to(fn(ts), ts.shape)
+    best = np.argsort(vals if mode == "inf" else -vals)[:8]
+    fine = np.concatenate([np.linspace(max(ts[k] - 0.01, 0.0), ts[k] + 0.01, 401) for k in best])
+    both = np.concatenate([vals, np.broadcast_to(fn(fine), fine.shape)])
+    return float(np.min(both) if mode == "inf" else np.max(both))
+
+
+def _assert_covers(bound, dense, mode, what):
+    """The bound is on the safe side of the dense extremum, and a finite
+    tolerance reaches it (up to the refinement's own error)."""
+    gap = dense - bound.value if mode == "inf" else bound.value - dense
+    rounding = 1e-9 * (1.0 + abs(dense))
+    assert gap >= -rounding, f"{what}: {bound} is past the dense {mode} {dense}"
+    if math.isfinite(bound.tolerance):
+        assert gap <= bound.tolerance + 1e3 * rounding, f"{what}: {bound} misses {dense}"
+    if bound.exact:
+        assert bound.tolerance == 0.0, what
+
+
+def _snap_frequencies(model, rng):
+    """The model with every sinusoid frequency moved to 1, 1.5, 2 or 3: shared angles."""
+    def snap(f):
+        if isinstance(f, Sinusoid):
+            return Sinusoid(f.base, f.amplitude, float(rng.choice([1.0, 1.5, 2.0, 3.0])), f.phase)
+        return f
+
+    return ModelSpec(
+        n=model.n,
+        a=tuple(map(snap, model.a)),
+        B=tuple(tuple(map(snap, row)) for row in model.B),
+        sigma=tuple(map(snap, model.sigma)),
+        gamma=tuple(tuple(map(snap, row)) for row in model.gamma),
+        marks=model.marks,
+    )
+
+
+def _brute_force_models():
+    """One random valid model per (n, marks) shape in 1..4 x 0..3, each also
+    with its frequencies snapped onto shared angles."""
+    rng = np.random.default_rng(2718)
+    shapes = {}
+    while len(shapes) < 16:
+        m = random_valid_model(rng)
+        shapes.setdefault((m.n, m.mark_count), m)
+    cases = {}
+    for (n, k), m in sorted(shapes.items()):
+        cases[f"n{n}_k{k}"] = m
+        cases[f"n{n}_k{k}_shared"] = _snap_frequencies(m, rng)
+    return cases
+
+
+_BRUTE_FORCE_MODELS = _brute_force_models()
+
+
+@pytest.mark.parametrize("model", _BRUTE_FORCE_MODELS.values(), ids=_BRUTE_FORCE_MODELS.keys())
+def test_bounds_never_pass_a_dense_sample(model):
+    p_list = (2.0, 0.5)
+    rep = compute_regime_report(model, p_list=p_list)
+    n, B, weights = model.n, model.B, model.marks.weights
+    breaks = sorted(model.pwc_breakpoints())
+
+    def mass(i, g):
+        return lambda ts: sum(w * g(model.gamma[i][k](ts)) for k, w in enumerate(weights))
+
+    def beta(i, ts):
+        jumps = mass(i, lambda v: np.log1p(v) - v)(ts)
+        return model.a[i](ts) - 0.5 * model.sigma[i](ts) ** 2 + jumps
+
+    ratio = {}
+    for i in range(n):
+        for j in set(range(n)) - {i}:
+            ratio[i, j] = _dense(lambda ts: B[i][j](ts) / B[j][j](ts), breaks, "sup")
+            _assert_covers(rep.interaction_ratios[i][j], ratio[i, j], "sup", f"ratio {i}{j}")
+    quad = _dense(lambda ts: sum(mass(i, np.square)(ts) for i in range(n)), breaks, "sup")
+    _assert_covers(rep.jump_quadratic_rate, quad, "sup", "jump_quadratic_rate")
+    for i, s in enumerate(rep.species):
+        checks = {
+            "c1": (s.c1, "inf", lambda ts: model.a[i](ts) - model.sigma[i](ts) ** 2
+                   - mass(i, lambda v: v**2 / (1 + v))(ts)),
+            "net_growth_inf": (s.net_growth_inf, "inf", lambda ts: beta(i, ts)),
+            "log_jump_sq": (s.log_jump_sq_bound, "sup", mass(i, lambda v: np.log1p(v) ** 2)),
+            # the margin with the dense ratios, which lie inside the reported brackets
+            "margin": (s.competition_margin, "inf", lambda ts: beta(i, ts) - sum(
+                ratio[i, j] * beta(j, ts) for j in range(n) if j != i)),
+        }
+        for p in p_list:
+            checks[f"moment {p}"] = (
+                s.abs_jump_moment_bounds[p], "sup", mass(i, lambda v, p=p: np.abs(v) ** p))
+        if model.mark_count:
+            checks["delta"] = (s.delta, "inf", lambda ts: np.min(
+                [g(ts) for g in model.gamma[i]], axis=0))
+        for name, (bound, mode, fn) in checks.items():
+            _assert_covers(bound, _dense(fn, breaks, mode), mode, f"species {i} {name}")

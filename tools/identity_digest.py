@@ -10,8 +10,10 @@ A case is one call: every Monte Carlo estimator (its result pickled, or the
 type and message of the exception it raised) on several models, path counts
 and seeds, including a growth functional of more than 8,192 intervals per
 path and a model whose paths diverge; the single-path integrators and their
-CSV output; and the exit code, stdout and every output file of the CLI
-commands of acceptance criterion 12.  It takes about 20 s on a 2-core x86_64 VM.
+CSV output; the regime report of every model, and of one whose bound needs
+the beat of two unrelated frequencies; and the exit code, stdout and every
+output file of the CLI commands of acceptance criterion 12.  It takes about
+20 s on a 2-core x86_64 VM.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 import lvjumps
-from lvjumps import analysis, cli
+from lvjumps import analysis, cli, conditions
 
 CRITERION_12_MODEL = {
     "n": 1,
@@ -90,6 +92,22 @@ def models():
     yield "diverging", lvjumps.constant_model(1, a=0.01, b=1.0, sigma=3.0)
     for n, marks in ((1, 2), (2, 3), (3, 1), (4, 2), (3, 0)):
         yield f"random_n{n}_k{marks}", random_model(rng, n, marks)
+
+
+def beat_model():
+    """a - sigma^2 reaches its infimum -0.04 only where two unrelated peaks meet."""
+    return lvjumps.ModelSpec(
+        n=1,
+        a=(lvjumps.Sinusoid(1.1, 0.5, 1.0),),
+        B=((lvjumps.Const(1.0),),),
+        sigma=(lvjumps.Sinusoid(0.5, 0.3, 1.001),),
+        gamma=((),),
+        marks=lvjumps.MarkSpace(()),
+    )
+
+
+def regime_case(model) -> bytes:
+    return outcome(lambda: conditions.compute_regime_report(model, p_list=(2, 3)).to_payload())
 
 
 def estimator_cases(name, model):
@@ -194,6 +212,8 @@ def main() -> int:
                 emit(case, payload)
             for case, payload in integrator_cases(name, model):
                 emit(case, payload)
+            emit(f"{name}/regime", regime_case(model))
+        emit("beat/regime", regime_case(beat_model()))
         for case, payload in cli_cases(Path(tmp)):
             emit(case, payload)
     return 0
