@@ -10,7 +10,7 @@ Exit codes:
     1  model invariant violation
     2  bad input (malformed JSON, unknown field, bad grids)
     3  a simulated path diverged
-    4  numeric/oracle mismatch beyond the configured tolerance
+    4  numeric mismatch beyond tolerance (oracle gap or a failed analyze verdict)
     5  an analysis prerequisite (analytic hypothesis) is unmet
 """
 
@@ -49,7 +49,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BAD_INPUT = 2
 EXIT_DIVERGED = 3
-EXIT_ORACLE = 4
+EXIT_MISMATCH = 4
 EXIT_PREREQUISITE = 5
 
 # Largest number of points a sweep --grid may hold, checked before the list is built.
@@ -155,22 +155,14 @@ def cmd_simulate(args) -> int:
                 write_trajectory_csv(uppers[i], fh, header_names=[f"Y_{i + 1}"])
             with open(out / f"trajectory_Z_{i + 1}.csv", "w", encoding="utf-8") as fh:
                 write_trajectory_csv(lowers[i], fh, header_names=[f"Z_{i + 1}"])
-        upper_excess = max(
-            float(np.max(traj.values[i] - uppers[i].values[0])) for i in range(model.n)
-        )
-        lower_excess = max(
-            float(np.max(lowers[i].values[0] - traj.values[i])) for i in range(model.n)
-        )
-        violations = sum(
-            int(np.sum(traj.values[i] > uppers[i].values[0]))
-            + int(np.sum(lowers[i].values[0] > traj.values[i]))
-            for i in range(model.n)
-        )
+        upper = np.concatenate([y.values for y in uppers])  # one row per species
+        lower = np.concatenate([z.values for z in lowers])
+        violations = int(np.sum(traj.values > upper)) + int(np.sum(lower > traj.values))
         _write_json(
             out / "bounds_summary.json",
             {
-                "max_upper_excess": upper_excess,
-                "max_lower_excess": lower_excess,
+                "max_upper_excess": max(float(np.max(d)) for d in traj.values - upper),
+                "max_lower_excess": max(float(np.max(d)) for d in lower - traj.values),
                 "violations": violations,
             },
         )
@@ -189,7 +181,7 @@ def cmd_simulate(args) -> int:
         )
         print(f"max relative gap to closed form: {gap:g}")
         if gap > args.oracle_tol:
-            return EXIT_ORACLE
+            return EXIT_MISMATCH
     return status
 
 
@@ -250,6 +242,7 @@ def cmd_analyze(args) -> int:
             "functional_mean": func.mean,
             "functional_bound": func.bound,
             "functional_within_bound": func.within_bound,
+            "diverged": mc.over_t.diverged_count,
             "pass": func.within_bound,
         }
     elif which == "inverse-moment":
@@ -297,7 +290,7 @@ def cmd_analyze(args) -> int:
         raise ConfigurationError(f"unknown analysis {which!r}")
     _write_json(out / f"analyze_{which}.json", verdict)
     print(f"{which}: {'pass' if verdict['pass'] else 'FAIL'}")
-    return EXIT_OK
+    return EXIT_OK if verdict["pass"] else EXIT_MISMATCH
 
 
 def cmd_classify(args) -> int:

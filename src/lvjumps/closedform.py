@@ -36,7 +36,7 @@ import numpy as np
 from .coefficients import CoefficientFn
 from .errors import DomainError, GridMismatchError
 from .model import MarkSpace, ModelSpec, check_species
-from .noise import KIND_LEFT, DrivingPath, MergedGrid
+from .noise import DrivingPath, MergedGrid
 
 __all__ = [
     "LinearJumpSDE",
@@ -259,29 +259,3 @@ def explicit_logistic(model: ModelSpec, i: int, x0_i: float, path: DrivingPath,
     """
     series = explicit_logistic_log(model, i, x0_i, path, growth_override)
     return PathSeries(series.grid, np.exp(series.values))
-
-
-def _coefficient_slot_values(f: CoefficientFn, grid: MergedGrid) -> np.ndarray:
-    """Evaluate a coefficient on every slot, with left limits on left slots."""
-    vals = np.asarray(f(grid.slot_times), dtype=float)
-    left = grid.slot_kinds == KIND_LEFT
-    if np.any(left):
-        vals[left] = np.asarray(f.value_left(grid.slot_times[left]), dtype=float)
-    return vals
-
-
-def _lower_growth_override(model: ModelSpec, i: int, uppers, grid: MergedGrid) -> PathSeries:
-    """Effective growth rate of the lower system: ``a_i - sum_{j!=i} b_ij Y_j``.
-
-    Only the tests use it, as an oracle for :func:`lvjumps.integrate.simulate_lower`
-    that shares none of its code.
-    """
-    vals = _coefficient_slot_values(model.a[i], grid)
-    for j in range(model.n):
-        if j == i:
-            continue
-        traj = uppers[j]
-        if traj is None or not traj.grid.same_nodes(grid):
-            raise GridMismatchError("upper trajectories must share the grid")
-        vals = vals - _coefficient_slot_values(model.B[i][j], grid) * traj.values[0]
-    return PathSeries(grid, vals)

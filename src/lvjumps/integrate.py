@@ -33,6 +33,9 @@ single-path arithmetic elementwise and in the same order, and keeps of each
 path only what its estimator reduces.  States go through libm's ``math.exp``
 and ``math.log`` value by value: numpy's ``exp`` and ``log`` round
 differently on some inputs.
+
+CSV numbers are written as ``%.17g``, a block of rows per ``%`` on a row
+template, and a path's ``time,slot_kind`` cells are rendered once, by its grid.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .errors import GridMismatchError, IntegrationError
 from .model import ModelSpec, as_initial_state, check_species, require_valid
-from .noise import KIND_LABELS, DrivingPath, MergedGrid
+from .noise import FLOAT_FORMAT, DrivingPath, MergedGrid
 
 __all__ = [
     "Trajectory",
@@ -492,18 +495,43 @@ def simulate_lower(
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal rendering: lossless for float64."""
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
+
+
+# Rows rendered by one ``%``: the whole table is never built as one string.
+_BLOCK_ROWS = 4096
+
+
+def _cell_format(column) -> str:
+    """``%s`` for a column of strings, :data:`FLOAT_FORMAT` for one of numbers."""
+    if not isinstance(column[0], str):
+        return FLOAT_FORMAT  # a string among the numbers fails to render
+    try:
+        "".join(column)  # takes strings only
+    except TypeError:
+        raise TypeError("a table column mixes strings and numbers") from None
+    return "%s"
 
 
 def _write_table(fileobj, header, columns) -> None:
     """Write a CSV header row, then one row per entry of the equal-length columns.
 
-    String cells are written as they are; every other cell is a number and is
-    rendered by :func:`format_float`.  This is the one place that writes rows.
+    A column of strings is written as it is; any other holds numbers, rendered
+    as :func:`format_float` renders them.  This is the one place that writes
+    rows.  Raises ValueError when the columns differ in length and TypeError
+    for a column that mixes strings and numbers.
     """
-    cells = [[v if isinstance(v, str) else format_float(v) for v in col] for col in columns]
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    rows, width = len(cols[0]), len(cols)
+    if any(len(c) != rows for c in cols):
+        raise ValueError("table columns differ in length")
     fileobj.write(",".join(header) + "\n")
-    fileobj.write("".join(",".join(row) + "\n" for row in zip(*cells, strict=True)))
+    template = ",".join(map(_cell_format, cols)) + "\n" if rows else ""
+    for start in range(0, rows, _BLOCK_ROWS):
+        cells = [None] * (min(_BLOCK_ROWS, rows - start) * width)
+        for j, col in enumerate(cols):
+            cells[j::width] = col[start : start + _BLOCK_ROWS]
+        fileobj.write(template * (len(cells) // width) % tuple(cells))
 
 
 def write_trajectory_csv(traj: Trajectory, fileobj, header_names=None) -> None:
@@ -514,17 +542,12 @@ def write_trajectory_csv(traj: Trajectory, fileobj, header_names=None) -> None:
     """
     n = traj.species_count
     names = header_names or [f"X_{i + 1}" for i in range(n)]
-    grid = traj.grid
     nan_slots = np.flatnonzero(np.isnan(traj.values).any(axis=0))
-    stop = int(nan_slots[0]) if len(nan_slots) else grid.n_slots
+    stop = int(nan_slots[0]) if len(nan_slots) else traj.grid.n_slots
     _write_table(
         fileobj,
         ["time", "slot_kind", *names],
-        [
-            grid.slot_times[:stop].tolist(),
-            [KIND_LABELS[k] for k in grid.slot_kinds[:stop].tolist()],
-            *traj.values[:, :stop].tolist(),
-        ],
+        [traj.grid.slot_cells[:stop], *traj.values[:, :stop].tolist()],
     )
     if traj.diverged:
         fileobj.write("DIVERGED," + format_float(traj.diverged_at) + "," * n + "\n")

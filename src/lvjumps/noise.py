@@ -54,6 +54,8 @@ _MAX_STEPS = 10**7
 
 KIND_GRID, KIND_LEFT, KIND_POST = 0, 1, 2
 KIND_LABELS = ("grid", "left", "post")
+# How every CSV renders a number: 17 significant digits, lossless for float64
+FLOAT_FORMAT = "%.17g"
 
 
 def _uniform_times(T: float, M: int) -> np.ndarray:
@@ -220,8 +222,8 @@ class MergedGrid:
     slot followed by a post-jump slot.  ``node_first_slot[l]`` is the slot
     index of node ``l``'s first (or only) slot, and ``jump_nodes[k]`` is the
     node of the path's ``k``-th jump.  This is the one place that maps jumps
-    and times to nodes and slots.  The slot arrays are built on first use:
-    the log-Euler Monte Carlo estimators work on nodes alone.
+    and times to nodes and slots.  The slot arrays and cells are built on first
+    use: the log-Euler Monte Carlo estimators work on nodes alone.
     """
 
     times: np.ndarray
@@ -252,6 +254,12 @@ class MergedGrid:
         kinds[left] = KIND_LEFT
         kinds[left + 1] = KIND_POST
         return kinds
+
+    @cached_property
+    def slot_cells(self) -> list[str]:
+        """Each slot's ``time,slot_kind`` CSV cells, rendered once for every file."""
+        kinds = [KIND_LABELS[k] for k in self.slot_kinds.tolist()]
+        return [f"{FLOAT_FORMAT % t},{k}" for t, k in zip(self.slot_times.tolist(), kinds)]
 
     def _nodes_at(self, times) -> np.ndarray:
         """Node indices at node times ``times``.

@@ -11,6 +11,7 @@ from lvjumps import (
     explicit_logistic,
     load_model,
     sample_driving_path,
+    sample_lyapunov_mc,
     simulate_lower,
     simulate_system,
     simulate_upper,
@@ -236,6 +237,34 @@ def test_analyze_lyapunov_draws_each_path_once(model_file, tmp_path, monkeypatch
     func = an.lyapunov_functional_mc(load_model(model_file), [1.0], 4.0, 0.0625, 5, 3)
     assert verdict["final_log_over_t_mean"] == float(mc.over_t.mean[-1])
     assert verdict["functional_mean"] == func.mean
+    assert verdict["diverged"] == mc.over_t.diverged_count == 0
+
+
+def test_analyze_lyapunov_counts_diverged_paths(tmp_path):
+    # a rare jump multiplies the population by 20,001; the next step's
+    # self-competition then takes it out of the log window
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(model_payload(a=17.0, sigma=0.5, gamma=20000.0, lam=8e-4)))
+    out = tmp_path / "o"
+    code = main(
+        ["analyze", "lyapunov", "--model", str(f), "--out", str(out),
+         "--T", "64", "--h", "0.0625", "--paths", "100", "--seed", "1"]
+    )
+    assert code == 0
+    verdict = json.loads((out / "analyze_lyapunov.json").read_text())
+    mc = sample_lyapunov_mc(load_model(f), 0, 1.0, 64.0, 0.0625, 100, 1)
+    assert verdict["diverged"] == mc.over_t.diverged_count == 1
+
+
+def test_failed_analyze_verdict_exits_4(model_file, tmp_path):
+    # from x0 = 0.01 the second moment is still rising after T/2
+    out = tmp_path / "o"
+    code = main(
+        ["analyze", "moments", "--model", str(model_file), "--out", str(out),
+         "--T", "4", "--h", "0.125", "--paths", "5", "--seed", "1", "--x0", "0.01"]
+    )
+    assert code == 4
+    assert json.loads((out / "analyze_moments.json").read_text())["pass"] is False
 
 
 def test_analyze_zero_checkpoints_exit_2(model_file, tmp_path):

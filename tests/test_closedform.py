@@ -23,8 +23,9 @@ from lvjumps import (
     simulate_upper,
     voc_solve,
 )
-from lvjumps.closedform import _lower_growth_override
-from lvjumps.errors import DomainError
+from lvjumps.closedform import PathSeries
+from lvjumps.errors import DomainError, GridMismatchError
+from lvjumps.noise import KIND_LEFT
 
 NO_MARKS = MarkSpace(())
 
@@ -35,6 +36,29 @@ def linear_sde(F=0.0, G=0.0, f=0.0, g=0.0, H=(), h=(), marks=NO_MARKS):
         F=to_fn(F), G=to_fn(G), f=to_fn(f), g=to_fn(g),
         H=tuple(to_fn(v) for v in H), h=tuple(to_fn(v) for v in h), marks=marks,
     )
+
+
+def coefficient_slot_values(f, grid):
+    """Evaluate a coefficient on every slot, with left limits on left slots."""
+    vals = np.asarray(f(grid.slot_times), dtype=float)
+    left = grid.slot_kinds == KIND_LEFT
+    if np.any(left):
+        vals[left] = np.asarray(f.value_left(grid.slot_times[left]), dtype=float)
+    return vals
+
+
+def lower_growth_override(model, i, uppers, grid):
+    """Effective growth rate of the lower system, ``a_i - sum_{j!=i} b_ij Y_j``:
+    an oracle for ``simulate_lower`` that shares none of its code."""
+    vals = coefficient_slot_values(model.a[i], grid)
+    for j in range(model.n):
+        if j == i:
+            continue
+        traj = uppers[j]
+        if traj is None or not traj.grid.same_nodes(grid):
+            raise GridMismatchError("upper trajectories must share the grid")
+        vals = vals - coefficient_slot_values(model.B[i][j], grid) * traj.values[0]
+    return PathSeries(grid, vals)
 
 
 def test_deterministic_exponential():
@@ -244,7 +268,7 @@ def test_log_form_matches_plain_form(extinct_model):
 def test_constant_override_reproduces_plain_solution(benchmark_model):
     path = sample_driving_path(benchmark_model.marks, 3.0, 2.0**-6, 41)
     grid = merge_grid(path)
-    override = _lower_growth_override(benchmark_model, 0, [None], grid)
+    override = lower_growth_override(benchmark_model, 0, [None], grid)
     with_override = explicit_logistic(benchmark_model, 0, 1.0, path, growth_override=override)
     plain = explicit_logistic(benchmark_model, 0, 1.0, path)
     np.testing.assert_allclose(with_override.values, plain.values, rtol=1e-10)
@@ -260,7 +284,7 @@ def test_override_realises_lower_system():
     uppers = [simulate_upper(model, i, x0[i], path) for i in range(2)]
     sim = simulate_lower(model, 0, x0[0], path, uppers)
     grid = sim.grid
-    override = _lower_growth_override(model, 0, uppers, grid)
+    override = lower_growth_override(model, 0, uppers, grid)
     oracle = explicit_logistic(model, 0, x0[0], path, growth_override=override)
     gap = np.max(np.abs(sim.values[0] - oracle.values) / oracle.values)
     assert gap < 5e-3

@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 from lvjumps import (
+    Const,
+    MarkSpace,
     ModelSpec,
+    PiecewiseConst,
+    Sinusoid,
+    Trajectory,
     constant_model,
+    dump_model,
+    explicit_logistic,
     noise,
     sample_driving_path,
     simulate_lower,
@@ -19,9 +26,10 @@ from lvjumps import (
     write_trajectory_csv,
 )
 from lvjumps.analysis import lyapunov_functional_mc
+from lvjumps.cli import main
 from lvjumps.errors import DomainError, GridMismatchError, IntegrationError
-from lvjumps.integrate import _summarise
-from lvjumps.noise import DrivingPath
+from lvjumps.integrate import _summarise, _write_table, format_float
+from lvjumps.noise import KIND_LABELS, DrivingPath
 from conftest import random_valid_model, random_x0
 
 
@@ -475,3 +483,112 @@ def test_trajectory_csv_layout(deterministic_model):
     assert lines[0] == "time,slot_kind,X_1"
     assert len(lines) == 1 + traj.grid.n_slots
     assert lines[1].startswith("0,grid,0.5")
+
+
+def reference_table(header, columns):
+    """What a per-cell writer gives: strings as they are, numbers as
+    ``format(float(v), ".17g")``."""
+    cells = [[v if isinstance(v, str) else format(float(v), ".17g") for v in col] for col in columns]
+    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+EDGE_CELLS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+    7, -3, 2**60, np.float64(0.1), 1 / 3, 2.5e-300,
+]
+
+
+def test_format_float_is_the_17_digit_format():
+    for v in EDGE_CELLS:
+        assert format_float(v) == format(float(v), ".17g")
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_table_matches_a_per_cell_reference(rows):
+    # tables shorter than, as long as and longer than one block of rows
+    rng = np.random.default_rng(rows)
+    edges = [EDGE_CELLS[k % len(EDGE_CELLS)] for k in range(rows)]
+    spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    flags = ["true" if f else "false" for f in (rng.random(rows) < 0.5).tolist()]
+    header = ["edge", "flag", "spread", "reversed"]
+    columns = [edges, flags, spread, spread.tolist()[::-1]]
+    buf = io.StringIO()
+    _write_table(buf, header, columns)
+    assert buf.getvalue() == reference_table(header, columns)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [["grid", 1.0], [1.0, "grid"], ["left"] * 5000 + [0.5], [0.5] * 5000 + ["post"]],
+)
+def test_table_column_mixing_strings_and_numbers_raises(column):
+    with pytest.raises(TypeError):
+        _write_table(io.StringIO(), ["x"], [column])
+
+
+@pytest.mark.parametrize("columns", [[[1.0, 2.0], [1.0]], [np.zeros(3), ["a", "b"]], [[], [1.0]]])
+def test_table_columns_of_different_lengths_raise(columns):
+    with pytest.raises(ValueError):
+        _write_table(io.StringIO(), ["x", "y"], columns)
+
+
+def test_diverged_csv_keeps_its_cutoff_and_sentinel():
+    model = constant_model(1, a=0.01, b=1.0, sigma=3.0)
+    path = sample_driving_path(model.marks, 256.0, 2.0**-4, 3)
+    traj = simulate_upper(model, 0, 1.0, path)
+    grid = traj.grid
+    stop = int(np.flatnonzero(np.isnan(traj.values[0]))[0])
+    assert traj.diverged and 0 < stop < grid.n_slots
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf, header_names=["Y_1"])
+    kinds = [KIND_LABELS[k] for k in grid.slot_kinds[:stop].tolist()]
+    want = reference_table(
+        ["time", "slot_kind", "Y_1"], [grid.slot_times[:stop], kinds, traj.values[0, :stop]]
+    )
+    assert buf.getvalue() == want + f"DIVERGED,{format(traj.diverged_at, '.17g')},\n"
+
+
+def test_simulate_files_on_one_grid_match_lone_writes(tmp_path, monkeypatch):
+    # every file of one run renders the grid's time and kind cells once; each
+    # must equal its trajectory written alone on a grid of its own
+    model = ModelSpec(
+        n=1,
+        a=(PiecewiseConst((0.75,), (1.5, 0.8)),),
+        B=((Const(1.0),),),
+        sigma=(Sinusoid(0.4, 0.2, 3.0),),
+        gamma=((Const(0.3),),),
+        marks=MarkSpace((2.0,)),
+    )
+    f = tmp_path / "model.json"
+    dump_model(model, f)
+    out = tmp_path / "o"
+    built = []
+    merge_grid = noise.merge_grid
+    monkeypatch.setattr(noise, "merge_grid", lambda path: built.append(path) or merge_grid(path))
+    code = main(
+        ["simulate", "--model", str(f), "--out", str(out), "--T", "2", "--h", str(2.0**-11),
+         "--seed", "5", "--x0", "0.7", "--with-bounds", "--with-oracle"]
+    )
+    assert code == 0 and len(built) == 1
+    monkeypatch.undo()
+
+    def fresh():
+        return sample_driving_path(model.marks, 2.0, 2.0**-11, 5, extra_times=(0.75,))
+
+    def alone(traj, names=None):
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf, header_names=names)
+        return buf.getvalue()
+
+    path = fresh()
+    assert path.grid.n_slots > 4096  # more than one block of rows
+    uppers = [simulate_upper(model, 0, 0.7, path)]
+    oracle = explicit_logistic(model, 0, 0.7, fresh())
+    want = {
+        "trajectory_X.csv": alone(simulate_system(model, [0.7], fresh())),
+        "trajectory_Y_1.csv": alone(simulate_upper(model, 0, 0.7, fresh()), ["Y_1"]),
+        "trajectory_Z_1.csv": alone(simulate_lower(model, 0, 0.7, path, uppers), ["Z_1"]),
+        "oracle.csv": alone(Trajectory(oracle.grid, oracle.values[None, :]), ["oracle"]),
+    }
+    for name, text in want.items():
+        assert (out / name).read_bytes() == text.encode(), name

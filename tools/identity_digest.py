@@ -11,9 +11,11 @@ type and message of the exception it raised) on several models, path counts
 and seeds, including a growth functional of more than 8,192 intervals per
 path and a model whose paths diverge; the single-path integrators and their
 CSV output; the regime report of every model, and of one whose bound needs
-the beat of two unrelated frequencies; and the exit code, stdout and every
-output file of the CLI commands of acceptance criterion 12.  It takes about
-20 s on a 2-core x86_64 VM.
+the beat of two unrelated frequencies; Monte Carlo CSVs with bound and flag
+columns; and the exit code, stdout and every output file of the CLI commands
+of acceptance criterion 12, of ``simulate --with-bounds`` on two models with
+sinusoidal and piecewise-constant rates, and of a diverging ``simulate``.  It
+takes about 25 s on a 2-core x86_64 VM.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import pickle
 import sys
@@ -54,11 +57,12 @@ def outcome(call) -> bytes:
         return f"{type(exc).__name__}: {exc}".encode()
 
 
-def random_model(rng, n, marks):
-    """A valid model with constant, sinusoidal and piecewise-constant rates."""
+def random_model(rng, n, marks, kinds=None):
+    """A valid model with constant, sinusoidal and piecewise-constant rates;
+    ``kinds`` deals the coefficient kinds (0, 1, 2) instead of drawing them."""
 
     def coeff(lo, hi):
-        kind = int(rng.integers(3))
+        kind = int(rng.integers(3)) if kinds is None else next(kinds)
         if kind == 0:
             return lvjumps.Const(float(rng.uniform(lo, hi)))
         if kind == 1:
@@ -173,10 +177,43 @@ def integrator_cases(name, model):
         yield f"{tag}/integrators", outcome(single)
 
 
+def table_cases():
+    """``write_mc_csv`` with bound and flag columns, on a computed and an edge-value series."""
+    model = lvjumps.constant_model(1, a=2.0, b=1.0, sigma=1.0, gamma=0.5, weights=(1.0,))
+
+    def computed():
+        res = analysis.inverse_moment_check(model, 0, 0.8, 3.0, 2.0**-6, 7, 5, checkpoint_count=9)
+        csv = io.StringIO()
+        analysis.write_mc_csv(res.series, csv, bound=res.bound, flags=res.ok)
+        return csv.getvalue()
+
+    def edges():
+        series = analysis.MCSeries(
+            checkpoints=np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]),
+            mean=np.array([-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan]),
+            std_error=np.array([0.0, 0.1, 1e-300, 2.5, 3.0, np.nan]),
+            n_paths=4,
+        )
+        csv = io.StringIO()
+        analysis.write_mc_csv(series, csv, bound=[1, 0.1, -2, 1e300, 0.0, 7], flags=[True, False] * 3)
+        return csv.getvalue()
+
+    yield "table/mc_csv_computed", outcome(computed)
+    yield "table/mc_csv_edges", outcome(edges)
+
+
 def cli_cases(workdir: Path):
     model = workdir / "model.json"
     model.write_text(json.dumps(CRITERION_12_MODEL))
     f = str(model)
+    # scan-style models whose Sinusoid and PiecewiseConst rates add extra grid times
+    rng = np.random.default_rng(19)
+    scan = []
+    for n, marks in ((2, 1), (3, 2)):
+        scan.append(workdir / f"scan_n{n}.json")
+        lvjumps.dump_model(random_model(rng, n, marks, itertools.cycle((1, 2, 0))), scan[-1])
+    diverging = workdir / "diverging.json"
+    lvjumps.dump_model(lvjumps.constant_model(1, a=0.01, b=1.0, sigma=3.0), diverging)
     commands = [
         ["validate", "--model", f],
         ["simulate", "--model", f, "--T", "2.0", "--h", str(2.0**-8),
@@ -193,6 +230,9 @@ def cli_cases(workdir: Path):
          "--paths", "20", "--seed", "12"],
         ["classify", "--model", f],
         ["sweep", "--model", f, "--param", "a[0]", "--grid", "0.5:1.5:0.25"],
+        *(["simulate", "--model", str(m), "--T", "5.0", "--h", str(2.0**-8), "--seed", "7",
+           "--with-bounds"] for m in scan),
+        ["simulate", "--model", str(diverging), "--T", "256.0", "--h", "0.0625", "--seed", "3"],
     ]
     for k, args in enumerate(commands):
         def run(args=args, out=workdir / f"out{k}"):
@@ -214,6 +254,8 @@ def main() -> int:
                 emit(case, payload)
             emit(f"{name}/regime", regime_case(model))
         emit("beat/regime", regime_case(beat_model()))
+        for case, payload in table_cases():
+            emit(case, payload)
         for case, payload in cli_cases(Path(tmp)):
             emit(case, payload)
     return 0
