@@ -84,8 +84,12 @@ def default_checkpoints(T: float, h: float, count: int = 50) -> np.ndarray:
 def _series_from_samples(checkpoints, samples, diverged) -> MCSeries:
     arr = np.asarray(samples, dtype=float)
     n = arr.shape[0]
-    mean = arr.mean(axis=0)
-    se = arr.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(arr.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = arr.mean(axis=0)
+        se = arr.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(arr.shape[1])
+    # a column of NaN samples is undefined (``ln X / ln t`` at t <= 1), not lost
+    if not np.all(np.isfinite(mean) & np.isfinite(se) | np.isnan(arr).all(axis=0)):
+        raise PrerequisiteError("a sample mean or standard error exceeds the float64 range")
     return MCSeries(
         checkpoints=np.asarray(checkpoints, dtype=float),
         mean=mean,
@@ -184,7 +188,8 @@ def estimate_moment(
     checkpoints = default_checkpoints(T, h, checkpoint_count)
     moment = lambda at, final, terms: _species_norms(at) ** p  # noqa: E731
     run = _log_euler(model, state, None, moment, checkpoints)
-    (values,) = _per_path(model, T, h, n_paths, seed, [run])
+    with np.errstate(over="ignore"):  # a moment past float64 is refused below
+        (values,) = _per_path(model, T, h, n_paths, seed, [run])
     samples, diverged = _kept(values)
     return _series_from_samples(checkpoints, samples, diverged)
 
@@ -242,10 +247,14 @@ def _functional_mc(model: ModelSpec, values) -> FunctionalMC:
     """:class:`FunctionalMC` from the per-path functional values (None: diverged)."""
     kept, diverged = _kept(values)
     arr = np.asarray(kept)
-    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(arr.mean())
+        se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise PrerequisiteError("the functional's mean or standard error exceeds the float64 range")
     bound = max(f.supremum for f in model.a)
     return FunctionalMC(
-        mean=float(arr.mean()),
+        mean=mean,
         std_error=se,
         bound=bound,
         n_paths=len(values),

@@ -11,7 +11,7 @@ Exit codes:
     2  bad input (malformed JSON, unknown field, bad grids)
     3  a simulated path diverged
     4  numeric mismatch beyond tolerance (oracle gap or a failed analyze verdict)
-    5  an analysis prerequisite (analytic hypothesis) is unmet
+    5  an analysis prerequisite (analytic hypothesis) is unmet, or a moment exceeds float64
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ _MAX_GRID_POINTS = 100_000
 
 
 def _write_json(path: Path, payload) -> None:
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)  # NaN, inf: null
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(strict, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -30,9 +30,9 @@ of surviving per-slot lists would make CPython's cyclic garbage collector
 walk the whole heap.  Monte Carlo batches run :func:`_summarise`, which moves
 every path over its own next interval on (species, paths) arrays, with the
 single-path arithmetic elementwise and in the same order, and keeps of each
-path only what its estimator reduces.  States go through libm's ``math.exp``
-and ``math.log`` value by value: numpy's ``exp`` and ``log`` round
-differently on some inputs.
+path only what its estimator reduces.  Its states take libm's ``exp`` of whole
+arrays (:func:`_libm`, which falls back to ``math.exp`` if a probe differs):
+numpy's SIMD ``exp`` rounds differently on some inputs.
 
 CSV numbers are written as ``%.17g``, a block of rows per ``%`` on a row
 template, and a path's ``time,slot_kind`` cells are rendered once, by its grid.
@@ -40,6 +40,7 @@ template, and a path's ``time,slot_kind`` cells are rendered once, by its grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,6 +64,7 @@ __all__ = [
 # exp() of values outside this window would denormalise or overflow float64
 LOG_LOW = -745.0
 LOG_HIGH = 709.0
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +97,39 @@ class Trajectory:
 
 
 def _species_norms(values):
-    """Euclidean norm over the first axis, the squares summed in species order."""
-    total = values[0] * values[0]
-    for v in values[1:]:
-        total += v * v
-    return np.sqrt(total)
+    """Euclidean norm over the first axis, the squares summed in species order;
+    where that sum is 0, subnormal or inf, of the values scaled by their largest."""
+    with np.errstate(over="ignore"):
+        total = values[0] * values[0]
+        for v in values[1:]:
+            total += v * v
+    if _TINY <= total.min() and total.max() < math.inf:
+        return np.sqrt(total)
+    scale = values.max(axis=0)
+    scaled = scale * np.sqrt(np.sum((values / scale) ** 2, axis=0))
+    return np.where((_TINY <= total) & (total < math.inf), np.sqrt(total), scaled)
+
+
+def _libm(ufunc, values):
+    """``np.exp`` of ``values`` with libm's bits: :func:`_reversed` if it passed its probe."""
+    if _reversal_is_libm(ufunc):
+        return _reversed(ufunc, values)
+    flat = map(getattr(math, ufunc.__name__), values.ravel().tolist())
+    return np.fromiter(flat, float, values.size).reshape(values.shape)
+
+
+def _reversed(ufunc, values):
+    """``ufunc`` over a reversed view, where numpy runs its scalar loop, which calls libm."""
+    return ufunc(values.ravel()[::-1])[::-1].reshape(values.shape)
+
+
+@functools.cache
+def _reversal_is_libm(ufunc) -> bool:
+    """Whether :func:`_reversed` equals :mod:`math` on 4,096 fixed values; run on first use."""
+    rng = np.random.default_rng(21)
+    probe = np.concatenate([rng.uniform(-5.0, 5.0, 2048), rng.uniform(LOG_LOW, LOG_HIGH, 2048)])
+    scalar = getattr(math, ufunc.__name__)
+    return _reversed(ufunc, probe).tolist() == list(map(scalar, probe.tolist()))
 
 
 def _tabulate(model: ModelSpec, t_left, rows, cols):
@@ -353,7 +383,7 @@ def _summarise(model: ModelSpec, x0, paths, species=None, at=(), trapezoid=False
     terms = np.empty((P, ends.max())) if trapezoid else None
     live = [True] * P  # False once a path has left the log window
     logx = np.repeat(np.asarray(logx0)[:, None], P, axis=1)
-    x = np.fromiter(map(math.exp, logx.ravel().tolist()), float, n * P).reshape(n, P)
+    x = _libm(np.exp, logx)
 
     def retire(p, r):
         """Path ``p`` leaves the batch after block row ``r``."""
@@ -403,7 +433,7 @@ def _summarise(model: ModelSpec, x0, paths, species=None, at=(), trapezoid=False
                 inside = ((LOG_LOW < logx) & (logx < LOG_HIGH)).all(axis=0)
                 for p in np.flatnonzero(~inside).tolist():
                     retire(p, r)
-            x = np.fromiter(map(math.exp, logx.ravel().tolist()), float, n * P).reshape(n, P)
+            x = _libm(np.exp, logx)
             pre[r + 1] = x
             for p, f in jumps_at.get(l + 1, ()):
                 if live[p]:

@@ -277,6 +277,18 @@ def test_mc_series_rejects_nan_standard_error():
              n_paths=2)
 
 
+def test_estimators_refuse_a_mean_past_float64():
+    t = [1.0, 2.0]
+    with pytest.raises(PrerequisiteError, match="float64"):
+        analysis._series_from_samples(t, [[1.0, 1e308], [2.0, 1.7e308]], 0)
+    # a column of NaN samples is an undefined checkpoint, not a lost one
+    series = analysis._series_from_samples(t, [[np.nan, 1.0], [np.nan, 2.0]], 0)
+    assert np.isnan(series.mean[0]) and series.mean[1] == 1.5
+    model = constant_model(1, a=1.0, b=1.0, sigma=0.5)
+    with pytest.raises(PrerequisiteError, match="float64"):
+        analysis._functional_mc(model, [math.inf, 1.0, None])
+
+
 def estimates(model, x0, T, h, n_paths, seed):
     return (
         lyapunov_functional_mc(model, x0, T, h, n_paths, seed),

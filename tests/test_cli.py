@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, outputs, byte-exact reruns."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lvjumps import (
     simulate_system,
     simulate_upper,
 )
-from lvjumps.cli import main
+from lvjumps.cli import _write_json, main
 from lvjumps.noise import KIND_LABELS
 
 
@@ -342,6 +343,54 @@ def test_classification_json_has_no_bare_infinity(tmp_path):
     c1 = report["species"][0]["exactness"]["c1"]
     assert c1 == {"value": pytest.approx(-0.04 - 0.01 / 1.1), "exact": False, "tolerance": None}
     assert report["classification"] != "PERMANENT"
+
+
+def test_json_writes_non_finite_numbers_as_null(tmp_path):
+    f = tmp_path / "v.json"
+    _write_json(f, {"a": math.nan, "b": [np.inf, 1.5, (-np.inf,)], "c": {"d": np.float64("nan")}})
+    payload = json.loads(f.read_text(), parse_constant=_refuse_constant)
+    assert payload == {"a": None, "b": [None, 1.5, [None]], "c": {"d": None}}
+
+
+EXAMPLE_FLAGS = ["--h", "0.0625", "--paths", "8", "--seed", "3"]
+
+
+def run_lyapunov_example(tmp_path, payload, *flags):
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    code = main(["analyze", "lyapunov", "--model", str(f), "--out", str(out), *EXAMPLE_FLAGS,
+                 *flags])
+    return code, json.loads((out / "analyze_lyapunov.json").read_text(),
+                            parse_constant=_refuse_constant)
+
+
+@pytest.mark.parametrize("a, sigma, gamma, T", [
+    (1.0, 15.0, 0.3, "4"),  # the norm of a path underflows while its log is near -400
+    (0.01, 3.0, 0.0, "128"),  # EXTINCT: ln Y falls at about 4.5 per unit time
+])
+def test_lyapunov_survives_a_norm_below_the_float64_squares(tmp_path, a, sigma, gamma, T):
+    code, verdict = run_lyapunov_example(tmp_path, model_payload(a, sigma, gamma), "--T", T)
+    assert code in (0, 4)
+    assert verdict["diverged"] == 0
+    assert math.isfinite(verdict["functional_mean"]) and verdict["functional_mean"] < 0
+
+
+def test_moments_past_float64_exit_5_and_lyapunov_stays_finite(tmp_path, capsys):
+    # |X| is about 1e200, so |X|^2 leaves float64 while ln|X| and b |X| do not
+    payload = model_payload(a=1.0, sigma=0.5, gamma=0.3)
+    payload["B"][0][0]["c"] = 1e-300
+    f = tmp_path / "high.json"
+    f.write_text(json.dumps(payload))
+    flags = ["--x0", "1e200", "--T", "1"]
+    out = tmp_path / "m"
+    argv = ["analyze", "moments", "--model", str(f), "--out", str(out), *EXAMPLE_FLAGS, *flags]
+    assert main(argv) == 5
+    assert "float64" in capsys.readouterr().err
+    assert not (out / "analyze_moments.json").exists()
+    code, verdict = run_lyapunov_example(tmp_path, payload, *flags)
+    assert code == 4
+    assert verdict["functional_mean"] == pytest.approx(verdict["final_log_over_t_mean"])
 
 
 def test_sweep_reports_exactness_and_tolerance(tmp_path, model_file):

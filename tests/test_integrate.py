@@ -1,13 +1,19 @@
 """Integrator: oracles, jump rule, pathwise comparison, divergence handling."""
 
 import gc
+import hashlib
 import io
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lvjumps
 from lvjumps import (
     Const,
     MarkSpace,
@@ -25,10 +31,11 @@ from lvjumps import (
     simulate_upper,
     write_trajectory_csv,
 )
-from lvjumps.analysis import lyapunov_functional_mc
+from lvjumps import integrate
+from lvjumps.analysis import estimate_moment, lyapunov_functional_mc
 from lvjumps.cli import main
 from lvjumps.errors import DomainError, GridMismatchError, IntegrationError
-from lvjumps.integrate import _summarise, _write_table, format_float
+from lvjumps.integrate import _libm, _summarise, _write_table, format_float
 from lvjumps.noise import KIND_LABELS, DrivingPath
 from conftest import random_valid_model, random_x0
 
@@ -440,6 +447,15 @@ def test_kernels_leave_the_cyclic_collector_idle():
         gc.callbacks.remove(count)
 
 
+def test_norms_past_the_float64_squares_are_scaled():
+    values = np.array([[3e-200, 1.0, 3e200, 5e-324], [4e-200, 2.0, 4e200, 5e-324]])
+    norms = integrate._species_norms(values)
+    assert norms[1] == math.sqrt(1.0 * 1.0 + 2.0 * 2.0)
+    assert norms[[0, 2]] == pytest.approx([5e-200, 5e200], rel=1e-15)
+    assert norms[3] == 5e-324 * math.sqrt(2.0)
+    assert integrate._species_norms(np.array([1e-200])) == 1e-200
+
+
 def test_invalid_model_is_rejected():
     model = constant_model(1, a=1.0, b=1.0, sigma=0.5, gamma=-1.0, weights=(1.0,))
     path = sample_driving_path(model.marks, 1.0, 0.25, 1)
@@ -592,3 +608,82 @@ def test_simulate_files_on_one_grid_match_lone_writes(tmp_path, monkeypatch):
     }
     for name, text in want.items():
         assert (out / name).read_bytes() == text.encode(), name
+
+
+CRITERION_9 = constant_model(
+    2, a=(1.5, 1.0), b=[[1.0, 0.3], [0.2, 0.8]], sigma=(0.5, 0.4),
+    gamma=((0.3,), (-0.4,)), weights=(1.0,),
+)
+
+
+def batched_estimates() -> bytes:
+    """Two estimators whose batched kernel takes every state's exp through ``_libm``."""
+    return pickle.dumps((
+        lyapunov_functional_mc(CRITERION_9, [1.0, 1.0], 3.0, 2.0**-6, 7, 5),
+        estimate_moment(CRITERION_9, [1.0, 1.0], 2.0, 3.0, 2.0**-6, 7, 5, checkpoint_count=9),
+    ))
+
+
+def by_math(fn, values):
+    return np.array([[fn(v) for v in row] for row in values.tolist()])
+
+
+def test_libm_fallback_gives_the_same_bytes(monkeypatch):
+    fast = batched_estimates()
+    monkeypatch.setattr(integrate, "_reversal_is_libm", lambda ufunc: False)
+    assert batched_estimates() == fast
+
+
+def test_libm_self_check_picks_the_fallback_when_the_fast_form_differs(monkeypatch):
+    fast = integrate._reversed
+
+    def one_ulp_off(ufunc, values):
+        out = fast(ufunc, values).copy()
+        out[1234] = np.nextafter(out[1234], np.inf)  # one probe value
+        return out
+
+    monkeypatch.setattr(integrate, "_reversed", one_ulp_off)
+    integrate._reversal_is_libm.cache_clear()
+    try:
+        assert not integrate._reversal_is_libm(np.exp)
+        values = np.random.default_rng(4).uniform(-50.0, 50.0, (2, 3000))
+        assert np.array_equal(_libm(np.exp, values), by_math(math.exp, values))
+    finally:
+        integrate._reversal_is_libm.cache_clear()
+
+
+@pytest.mark.parametrize("P", [1, 4, 257])
+@pytest.mark.parametrize("fast", [True, False])
+def test_libm_keeps_shape_and_order(monkeypatch, fast, P):
+    monkeypatch.setattr(integrate, "_reversal_is_libm", lambda ufunc: fast)
+    values = np.random.default_rng(P).uniform(-50.0, 50.0, (3, P))
+    want = by_math(math.exp, values)
+    for arg in (values, values.T):  # a strided view too
+        got = _libm(np.exp, arg)
+        assert got.shape == arg.shape
+        assert np.array_equal(got, want if arg is values else want.T)
+
+
+def test_batched_results_do_not_depend_on_the_simd_targets():
+    # numpy's AVX-512 exp rounds differently from libm; with those targets
+    # disabled numpy's plain exp is libm's, so the bytes must not move
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    targets = [
+        t for t in umath.__cpu_dispatch__
+        if (t.startswith("AVX512") or t == "X86_V4") and umath.__cpu_features__.get(t)
+    ]
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this machine")
+    src = str(Path(lvjumps.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import hashlib, sys; sys.path.insert(0, 'tests'); import test_integrate as t; "
+        "print(hashlib.sha256(t.batched_estimates()).hexdigest())"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        cwd=str(Path(__file__).resolve().parents[1]),
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split()[-1] == hashlib.sha256(batched_estimates()).hexdigest()

@@ -14,8 +14,9 @@ CSV output; the regime report of every model, and of one whose bound needs
 the beat of two unrelated frequencies; Monte Carlo CSVs with bound and flag
 columns; and the exit code, stdout and every output file of the CLI commands
 of acceptance criterion 12, of ``simulate --with-bounds`` on two models with
-sinusoidal and piecewise-constant rates, and of a diverging ``simulate``.  It
-takes about 25 s on a 2-core x86_64 VM.
+sinusoidal and piecewise-constant rates, of a diverging ``simulate``, and of
+``analyze`` on three models whose norms square out of float64 (below it, and
+above it from ``--x0 1e200``).  It takes about 25 s on a 2-core x86_64 VM.
 """
 
 from __future__ import annotations
@@ -214,6 +215,17 @@ def cli_cases(workdir: Path):
         lvjumps.dump_model(random_model(rng, n, marks, itertools.cycle((1, 2, 0))), scan[-1])
     diverging = workdir / "diverging.json"
     lvjumps.dump_model(lvjumps.constant_model(1, a=0.01, b=1.0, sigma=3.0), diverging)
+    # norms whose squares leave float64: below it (sigma 15, and an EXTINCT model), above it
+    edges = {}
+    for name, a, b, sigma, gamma in (
+        ("under", 1.0, 1.0, 15.0, 0.3),
+        ("extinct", 0.01, 1.0, 3.0, 0.0),
+        ("high", 1.0, 1e-300, 0.5, 0.3),
+    ):
+        edges[name] = str(workdir / f"{name}.json")
+        lvjumps.dump_model(lvjumps.constant_model(
+            1, a=a, b=b, sigma=sigma, gamma=gamma, weights=(1.0,)), edges[name])
+    edge_flags = ["--h", "0.0625", "--paths", "8", "--seed", "3"]
     commands = [
         ["validate", "--model", f],
         ["simulate", "--model", f, "--T", "2.0", "--h", str(2.0**-8),
@@ -233,6 +245,10 @@ def cli_cases(workdir: Path):
         *(["simulate", "--model", str(m), "--T", "5.0", "--h", str(2.0**-8), "--seed", "7",
            "--with-bounds"] for m in scan),
         ["simulate", "--model", str(diverging), "--T", "256.0", "--h", "0.0625", "--seed", "3"],
+        ["analyze", "lyapunov", "--model", edges["under"], "--T", "4", *edge_flags],
+        ["analyze", "lyapunov", "--model", edges["extinct"], "--T", "128", *edge_flags],
+        *(["analyze", which, "--model", edges["high"], "--x0", "1e200", "--T", "1", *edge_flags]
+          for which in ("moments", "lyapunov")),
     ]
     for k, args in enumerate(commands):
         def run(args=args, out=workdir / f"out{k}"):
