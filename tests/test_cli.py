@@ -366,7 +366,7 @@ def run_lyapunov_example(tmp_path, payload, *flags):
 
 
 @pytest.mark.parametrize("a, sigma, gamma, T", [
-    (1.0, 15.0, 0.3, "4"),  # the norm of a path underflows while its log is near -400
+    (1.0, 15.0, 0.3, "4"),  # a path's norm underflows while its log stays above -745
     (0.01, 3.0, 0.0, "128"),  # EXTINCT: ln Y falls at about 4.5 per unit time
 ])
 def test_lyapunov_survives_a_norm_below_the_float64_squares(tmp_path, a, sigma, gamma, T):

@@ -677,13 +677,11 @@ def test_batched_results_do_not_depend_on_the_simd_targets():
     src = str(Path(lvjumps.__file__).resolve().parents[1])
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = (
-        "import hashlib, sys; sys.path.insert(0, 'tests'); import test_integrate as t; "
-        "print(hashlib.sha256(t.batched_estimates()).hexdigest())"
-    )
+    code = ("import hashlib, test_integrate as t; "
+            "print(hashlib.sha256(t.batched_estimates()).hexdigest())")
     child = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
-        cwd=str(Path(__file__).resolve().parents[1]),
+        cwd=str(Path(__file__).resolve().parent),
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.split()[-1] == hashlib.sha256(batched_estimates()).hexdigest()
