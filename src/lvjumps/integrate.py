@@ -30,9 +30,11 @@ of surviving per-slot lists would make CPython's cyclic garbage collector
 walk the whole heap.  Monte Carlo batches run :func:`_summarise`, which moves
 every path over its own next interval on (species, paths) arrays, with the
 single-path arithmetic elementwise and in the same order, and keeps of each
-path only what its estimator reduces.  Its states take libm's ``exp`` of whole
-arrays (:func:`_libm`, which falls back to ``math.exp`` if a probe differs):
-numpy's SIMD ``exp`` rounds differently on some inputs.
+path only what its estimator reduces.  Each step writes into buffers made
+once, on operands of one shape (``Const`` tables are made once per batch).
+Its states take libm's ``exp`` of whole arrays (:func:`_libm`, from log states
+laid out backwards): numpy's SIMD ``exp`` rounds differently on some inputs.
+All three loops take a jump through :func:`_jump`.
 
 CSV numbers are written as ``%.17g``, a block of rows per ``%`` on a row
 template, and a path's ``time,slot_kind`` cells are rendered once, by its grid.
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, IntegrationError
+from .coefficients import Const
 from .model import ModelSpec, as_initial_state, check_species, require_valid
 from .noise import FLOAT_FORMAT, DrivingPath, MergedGrid
 
@@ -110,26 +113,31 @@ def _species_norms(values):
     return np.where((_TINY <= total) & (total < math.inf), np.sqrt(total), scaled)
 
 
-def _libm(ufunc, values):
-    """``np.exp`` of ``values`` with libm's bits: :func:`_reversed` if it passed its probe."""
-    if _reversal_is_libm(ufunc):
-        return _reversed(ufunc, values)
-    flat = map(getattr(math, ufunc.__name__), values.ravel().tolist())
-    return np.fromiter(flat, float, values.size).reshape(values.shape)
+def _libm(ufunc, values, out):
+    """``ufunc(values, out=out)`` with libm's bits, for ``values`` laid out backwards
+    (a reversed view) and ``out`` forwards: numpy flips no operands whose strides
+    differ in sign and runs its libm loop (:func:`_reversed`, if it passed its
+    probe).  A single value is contiguous, so it goes through :mod:`math`."""
+    if out.size > 1 and _reversal_is_libm(ufunc):
+        return _reversed(ufunc, values, out)
+    out.reshape(-1)[:] = list(map(getattr(math, ufunc.__name__), values.ravel().tolist()))
+    return out
 
 
-def _reversed(ufunc, values):
-    """``ufunc`` over a reversed view, where numpy runs its scalar loop, which calls libm."""
-    return ufunc(values.ravel()[::-1])[::-1].reshape(values.shape)
+def _reversed(ufunc, values, out):
+    """The call form of :func:`_libm` that its probe checks."""
+    return ufunc(values, out=out)
 
 
 @functools.cache
 def _reversal_is_libm(ufunc) -> bool:
-    """Whether :func:`_reversed` equals :mod:`math` on 4,096 fixed values; run on first use."""
+    """Whether :func:`_reversed` equals :mod:`math` on 4,096 fixed values laid out as
+    :func:`_summarise` lays out its log states; run on first use."""
     rng = np.random.default_rng(21)
-    probe = np.concatenate([rng.uniform(-5.0, 5.0, 2048), rng.uniform(LOG_LOW, LOG_HIGH, 2048)])
-    scalar = getattr(math, ufunc.__name__)
-    return _reversed(ufunc, probe).tolist() == list(map(scalar, probe.tolist()))
+    values = np.concatenate([rng.uniform(-5.0, 5.0, 2048),
+                             rng.uniform(LOG_LOW, LOG_HIGH, 2048)])[::-1].reshape(2, 2048)
+    got = _reversed(ufunc, values, np.empty(values.shape))
+    return got.ravel().tolist() == list(map(getattr(math, ufunc.__name__), values.ravel().tolist()))
 
 
 def _tabulate(model: ModelSpec, t_left, rows, cols):
@@ -156,28 +164,29 @@ def _tabulate(model: ModelSpec, t_left, rows, cols):
     return a_vals, B_vals, sig_vals, corr
 
 
-def _jump_factors(model: ModelSpec, path: DrivingPath, rows) -> np.ndarray:
-    """Per jump of ``path``, the factors ``1 + gamma_row(tau)`` of species ``rows``;
-    one elementwise ``gamma[row][k]`` call covers every jump of mark ``k``."""
-    factors = np.empty((path.jump_count, len(rows)))
+def _jump_factors(model: ModelSpec, taus, marks, rows) -> np.ndarray:
+    """Per jump at the times ``taus`` with ``marks``, the factors ``1 + gamma_row(tau)``
+    of species ``rows``; one elementwise ``gamma[row][k]`` call covers every jump of mark ``k``."""
+    factors = np.empty((len(taus), len(rows)))
     for k in range(model.mark_count):
-        of_mark = path.jump_marks == k
-        taus = path.jump_times[of_mark]
+        of_mark = marks == k
+        at = taus[of_mark]
         for c, i in enumerate(rows):
-            factors[of_mark, c] = 1.0 + np.asarray(model.gamma[i][k](taus), dtype=float)
+            factors[of_mark, c] = 1.0 + np.asarray(model.gamma[i][k](at), dtype=float)
     return factors
 
 
-def _jump(x, factors, t):
-    """State after a jump at ``t``, or None when it leaves the log window."""
+def _jump(x, factors, times, node):
+    """State after a jump at node ``node`` of ``times`` and its logs, or None when
+    it leaves the log window."""
     nxt = [xi * fi for xi, fi in zip(x, factors)]
-    bad = False
-    for v in nxt:
-        if v != v:
-            raise IntegrationError(f"NaN state at t={float(t)!r}")
-        if not (v > 0.0) or not (LOG_LOW < math.log(v) < LOG_HIGH):
-            bad = True
-    return None if bad else nxt
+    logs = [math.log(v) if v > 0.0 else v - math.inf for v in nxt]  # NaN stays NaN
+    for lv in logs:
+        if not LOG_LOW < lv < LOG_HIGH:
+            if any(v != v for v in logs):
+                raise IntegrationError(f"NaN state at t={float(times[node])!r}")
+            return None
+    return nxt, logs
 
 
 def _trajectory(grid: MergedGrid, factors, states, stop) -> Trajectory:
@@ -242,7 +251,7 @@ def _simulate_one(model: ModelSpec, x0, path: DrivingPath, species=None) -> Traj
     """Trajectory of one path for the system :func:`_start` picks; the
     single-path loops cost 5 to 35 times less than a batch of one."""
     rows, logx0 = _start(model, x0, species)
-    factors = _jump_factors(model, path, rows)
+    factors = _jump_factors(model, path.jump_times, path.jump_marks, rows)
     loop = _run_scalar if len(rows) == 1 else _run_vector
     tables = _tabulate(model, path.node_times[:-1], rows, rows)
     return _trajectory(path.grid, factors, *loop(path, logx0, *tables, factors))
@@ -290,10 +299,10 @@ def _run_vector(path, logx0, a_vals, B_vals, sig_vals, corr, jump_factors):
         x = [math.exp(v) for v in logx]
         states.extend(x)
         if l in jumps:
-            x = _jump(x, jumps[l], times[l + 1])
-            if x is None:
+            after = _jump(x, jumps[l], times, l + 1)
+            if after is None:
                 return states, (l + 1, True)
-            logx = [math.log(v) for v in x]
+            x, logx = after
     return states, None
 
 
@@ -334,11 +343,10 @@ def _run_scalar(path, logx0, a, b_own, sig, corr, jump_factors, others=(), steps
         z = math.exp(logz)
         states.append(z)
         if l in jumps:
-            nxt = _jump([z], jumps[l], times[l + 1])
-            if nxt is None:
+            after = _jump([z], jumps[l], times, l + 1)
+            if after is None:
                 return states, (l + 1, True)
-            (z,) = nxt
-            logz = math.log(z)
+            (z,), (logz,) = after
     return states, (steps + 1, False) if steps < len(dt) else None
 
 
@@ -373,90 +381,122 @@ def _summarise(model: ModelSpec, x0, paths, species=None, at=(), trapezoid=False
     """
     rows, logx0 = _start(model, x0, species)
     n, P = len(rows), len(paths)
-    ends = np.array([len(path.node_times) - 1 for path in paths])
-    factors = np.concatenate([_jump_factors(model, path, rows) for path in paths])
+    ends = [len(path.node_times) - 1 for path in paths]
+    last = max(ends)
+    # every jump of the batch by node, each node's in path order, and its factors
     jump_node = np.concatenate([path.grid.jump_nodes for path in paths])
-    jump_path = np.repeat(np.arange(P), [path.jump_count for path in paths])
+    order = np.argsort(jump_node, kind="stable")
+    jump_node = np.append(jump_node[order], last + 1)  # then a node past every block
+    jump_path = np.repeat(np.arange(P), [path.jump_count for path in paths])[order]
+    taus, marks = (np.concatenate([getattr(path, v) for path in paths])[order]
+                   for v in ("jump_times", "jump_marks"))
+    factors = _jump_factors(model, taus, marks, rows)
     # the nodes at the times ``at``, then the last node
     nodes = np.column_stack([np.stack([path.grid._nodes_at(at) for path in paths]), ends])
     states = np.empty((P, n, nodes.shape[1]))
-    terms = np.empty((P, ends.max())) if trapezoid else None
+    terms = np.empty((P, last)) if trapezoid else None
     live = [True] * P  # False once a path has left the log window
-    logx = np.repeat(np.asarray(logx0)[:, None], P, axis=1)
-    x = _libm(np.exp, logx)
+    # the log state lies backwards in ``lbuf``, the layout :func:`_libm` takes
+    lbuf = np.empty(n * P)
+    logx = lbuf[::-1].reshape(n, P)
+    logx[:] = np.asarray(logx0)[:, None]
+    x = _libm(np.exp, logx, np.empty((n, P)))
+    # prod[j] = B[:, j] * x[j], summed into acc = prod[0] in order of j
+    prod = np.empty((n, n, P))
+    acc = prod[0]
+    # coefficients that do not depend on time are tabulated once per batch
+    timed = not all(isinstance(f, Const) for f in model.all_coefficients())
+    if not timed:
+        a, B, sig, corr = _tabulate(model, np.zeros((1, P)), rows, rows)
+        ar, Br, cr = a[0], B[0].transpose(1, 0, 2).copy(), corr[0]
 
     def retire(p, r):
         """Path ``p`` leaves the batch after block row ``r``."""
         live[p] = False
         logx[:, p] = 0.0
-        x[:, p] = 1.0
-        dt[r + 1 :, p] = 0.0
+        post[r + 1, :, p] = 1.0
+        dt[r + 1 :, :, p] = 0.0
         sdw[r + 1 :, :, p] = 0.0
 
-    for l0 in range(0, ends.max(), _BLOCK):
+    for l0 in range(0, last, _BLOCK):
         # a path that has ended or left gets dt = dW = 0 and its final time's coefficients
-        top = min(l0 + _BLOCK, ends.max())
-        t_left = np.empty((top - l0 + 1, P))
-        dw = np.zeros((top - l0, P))
-        for p, path in enumerate(paths):
+        top = min(l0 + _BLOCK, last)
+        L = top - l0
+        t_cols, dw_cols = [], []
+        for p in range(P):
+            t = paths[p].node_times
             k = min(ends[p], top) - l0 if live[p] and ends[p] >= l0 else -1
-            t_left[: k + 1, p] = path.node_times[l0 : l0 + k + 1]
-            t_left[k + 1 :, p] = path.node_times[-1]
-            dw[: max(k, 0), p] = path.node_increments[l0 : l0 + k]
-        a, B, sig, corr = _tabulate(model, t_left[:-1], rows, rows)
-        dt, sdw = t_left[1:] - t_left[:-1], sig * dw[:, None, :]
-        del t_left, dw, sig
-        # pre[r] and post[r]: the states just before and after node l0 + r's jump
-        pre = np.empty((len(dt) + 1, n, P))
-        pre[0] = x
-        # node -> (path, its factors); per block, so few lists live for the cyclic collector
-        jumps_at = {}
-        here = (jump_node > l0) & (jump_node <= top)
-        for node, p, f in zip(*(v[here].tolist() for v in (jump_node, jump_path, factors))):
-            jumps_at.setdefault(node, []).append((p, f))
-        jumped = []
-        for r in range(len(dt)):
-            l = l0 + r
-            Br = B[r]
-            acc = Br[:, 0] * x[0]
+            if k == L:
+                t_cols.append(t[l0 : top + 1])
+                dw_cols.append(paths[p].node_increments[l0:top])
+            else:
+                t_cols.append(np.concatenate([t[l0 : l0 + k + 1], np.full(L - k, t[-1])]))
+                k = max(k, 0)
+                dw_cols.append(np.concatenate([paths[p].node_increments[l0 : l0 + k], np.zeros(L - k)]))
+        t_left, dw = (np.array(v).T.copy() for v in (t_cols, dw_cols))
+        if timed:
+            a, B, sig, corr = _tabulate(model, t_left[:-1], rows, rows)
+            B = B.transpose(0, 2, 1, 3).copy()  # B[r, j]: column j
+        # each array whole at every step: numpy broadcasts slower than it loops
+        dt, sdw = np.repeat(np.diff(t_left, axis=0)[:, None], n, axis=1), sig * dw[:, None]
+        del t_left, dw
+        # post[r]: the state just after node l0 + r's jump
+        post = np.empty((len(dt) + 1, n, P))
+        post[0] = x
+        xs = post[:, :, None, :]  # xs[r, j]: x[j], for every row of B's column j
+        # this block's jumps, listed per block so that few lists live for the cyclic collector
+        lo, hi = np.searchsorted(jump_node, (l0, top), side="right")
+        jn = jump_node[lo : hi + 1].tolist()
+        jp, jf = (v[lo:hi].tolist() for v in (jump_path, factors))
+        k = 0
+        jumped, before_jumps = [], []  # the jumps' places in ``left`` below, their states
+        for r, node in enumerate(range(l0 + 1, top + 1)):  # the step to ``node``
+            if timed:
+                ar, Br, cr = a[r], B[r], corr[r]
+            np.multiply(Br, xs[r], out=prod)
             for j in range(1, n):
-                acc += Br[:, j] * x[j]
-            drift = a[r] - acc
-            drift -= corr[r]
-            drift *= dt[r]
-            drift += sdw[r]
-            logx += drift
-            if not (LOG_LOW < logx.min() and logx.max() < LOG_HIGH):
+                acc += prod[j]
+            np.subtract(ar, acc, out=acc)
+            acc -= cr
+            acc *= dt[r]
+            acc += sdw[r]
+            logx += acc
+            if not (LOG_LOW < np.minimum.reduce(lbuf) and np.maximum.reduce(lbuf) < LOG_HIGH):
                 if np.isnan(logx).any():
                     p = int(np.flatnonzero(np.isnan(logx).any(axis=0))[0])
-                    raise IntegrationError(f"NaN state at t={float(paths[p].node_times[l + 1])!r}")
+                    raise IntegrationError(f"NaN state at t={float(paths[p].node_times[node])!r}")
                 inside = ((LOG_LOW < logx) & (logx < LOG_HIGH)).all(axis=0)
                 for p in np.flatnonzero(~inside).tolist():
                     retire(p, r)
-            x = _libm(np.exp, logx)
-            pre[r + 1] = x
-            for p, f in jumps_at.get(l + 1, ()):
-                if live[p]:
-                    nxt = _jump(x[:, p].tolist(), f, paths[p].node_times[l + 1])
-                    if nxt is None:
-                        retire(p, r)
-                    else:
-                        x[:, p] = nxt
-                        logx[:, p] = [math.log(v) for v in nxt]
-                        jumped.append((r + 1, p, nxt))
-        post = pre.copy()
-        for r, p, nxt in jumped:
-            post[r, :, p] = nxt
+            _libm(np.exp, logx, post[r + 1])
+            while jn[k] == node:
+                p, f = jp[k], jf[k]
+                k += 1
+                if not live[p]:
+                    continue
+                before = post[r + 1, :, p].tolist()
+                after = _jump(before, f, paths[p].node_times, node)
+                if after is None:
+                    retire(p, r)
+                    continue
+                post[r + 1, :, p], logx[:, p] = after
+                jumped.append(r * P + p)
+                before_jumps += before
+        x = post[-1].copy()
         p, c = np.nonzero((nodes >= l0) & (nodes <= top))
         states[p, :, c] = post[nodes[p, c] - l0, :, p]
         if trapezoid:
             # the states a diverged path left behind may overflow; they are never read
             with np.errstate(over="ignore", invalid="ignore"):
-                start = _species_norms(post[:-1].transpose(1, 0, 2))
-                end = _species_norms(pre[1:].transpose(1, 0, 2))
-                terms[:, l0:top] = (0.5 * dt * (start + end)).T
+                norms = _species_norms(post.transpose(1, 0, 2))
+                left = norms[1:].copy()  # at each interval's end, before its jump
+                if jumped:
+                    left.put(jumped, _species_norms(np.reshape(before_jumps, (-1, n)).T))
+                terms[:, l0:top] = (0.5 * dt[:, 0] * (norms[:-1] + left)).T
         # free this block's arrays before the next block's are built
-        del a, B, corr, dt, sdw, pre, post, jumps_at, jumped
+        del dt, sdw, post, xs, jumped, before_jumps
+        if timed:
+            del a, B, sig, corr, ar, Br, cr
 
     return [
         (states[p, :, :-1], states[p, :, -1], None if terms is None else terms[p, : ends[p]])
@@ -516,7 +556,7 @@ def simulate_lower(
             head += pressure[:, j]
         others = np.column_stack((head, others))
     unknown = np.flatnonzero(np.isnan(frozen).any(axis=1))
-    factors = _jump_factors(model, path, [i])
+    factors = _jump_factors(model, path.jump_times, path.jump_marks, [i])
     return _trajectory(grid, factors, *_run_scalar(
         path, [math.log(float(x0_i))], a_vals, B_vals[:, 0, i], sig_vals, corr, factors,
         others.ravel().tolist(), steps=int(unknown[0]) if len(unknown) else None,

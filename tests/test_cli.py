@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -391,6 +392,43 @@ def test_moments_past_float64_exit_5_and_lyapunov_stays_finite(tmp_path, capsys)
     code, verdict = run_lyapunov_example(tmp_path, payload, *flags)
     assert code == 4
     assert verdict["functional_mean"] == pytest.approx(verdict["final_log_over_t_mean"])
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    a=_decades(-2, 1),
+    b=_decades(-300, 3),
+    sigma=st.just(0.0) | _decades(-1, 1.3),
+    gamma=st.floats(-0.99, 5, exclude_min=True, exclude_max=True),
+    lam=st.just(0.0) | _decades(-1, 1),
+    x0=_decades(-200, 200),
+)
+def test_analyze_fuzz_exits_with_a_documented_code_and_strict_json(
+    tmp_path_factory, a, b, sigma, gamma, lam, x0
+):
+    # valid constant models across the whole log window: no traceback, no
+    # warning, and no bare NaN or Infinity in any JSON output
+    root = tmp_path_factory.mktemp("analyze_fuzz")
+    payload = model_payload(a, sigma, gamma, lam)
+    payload["B"][0][0]["c"] = b
+    if not lam:  # a mark of rate 0 is a model without marks
+        payload.update(marks={"weights": []}, gamma=[[]])
+    f = root / "model.json"
+    f.write_text(json.dumps(payload))
+    for which in ("moments", "lyapunov", "inverse-moment", "couple", "invariant"):
+        out = root / which
+        argv = ["analyze", which, "--model", str(f), "--out", str(out), "--x0", repr(x0),
+                "--T", "4", *EXAMPLE_FLAGS]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in range(6), argv
+        for written in out.glob("*.json"):
+            json.loads(written.read_text(), parse_constant=_refuse_constant)
 
 
 def test_sweep_reports_exactness_and_tolerance(tmp_path, model_file):

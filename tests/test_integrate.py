@@ -57,8 +57,12 @@ def diverging_model(n):
 
 
 def with_nan_increment(path, at):
+    return with_increment(path, at, np.nan)
+
+
+def with_increment(path, at, value):
     incs = path.node_increments.copy()
-    incs[at] = np.nan
+    incs[at] = value
     return DrivingPath(
         T=path.T, h=path.h, seed=path.seed, mark_count=path.mark_count,
         node_times=path.node_times, node_increments=incs,
@@ -387,6 +391,59 @@ def test_a_path_gets_the_same_bytes_alone_and_in_a_batch_of_257():
         assert_summary_of(among[k], simulate_system(model, [0.8, 1.3], paths[k]), at)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_lone_one_species_path_gets_the_bytes_of_the_single_path_kernels(seed):
+    # its 1 x 1 state counts as contiguous, where numpy would run its SIMD exp
+    model = constant_model(1, a=1.5, b=1.0, sigma=0.8, gamma=0.4, weights=(2.0,))
+    path = sample_driving_path(model.marks, 20.0, 2.0**-6, seed)
+    at = uniform_nodes(20.0, 2.0**-6)
+    (summary,) = _summarise(model, 0.7, [path], 0, at, trapezoid=True)
+    assert_summary_of(summary, simulate_upper(model, 0, 0.7, path), at)
+    (summary,) = _summarise(model, [0.7], [path], at=at, trapezoid=True)
+    assert_summary_of(summary, simulate_system(model, [0.7], path), at)
+
+
+BATCH_MODELS = {
+    "const": constant_model(
+        2, a=(1.2, 0.9), b=[[1.0, 0.4], [0.3, 0.8]], sigma=(0.5, 0.6),
+        gamma=((0.4,), (-0.3,)), weights=(3.0,),
+    ),
+    "timed": ModelSpec(
+        n=2,
+        a=(Sinusoid(1.2, 0.3, 2.0), Const(0.9)),
+        B=((Const(1.0), PiecewiseConst((1.0,), (0.4, 0.2))),
+           (Const(0.3), Sinusoid(0.8, 0.2, 1.5))),
+        sigma=(Const(0.5), PiecewiseConst((0.7,), (0.6, 0.3))),
+        gamma=((Sinusoid(0.4, 0.2, 3.0),), (Const(-0.3),)),
+        marks=MarkSpace((3.0,)),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
+def test_a_path_gets_the_same_bytes_in_batches_of_any_size(kind):
+    # constant coefficients are tabulated once per batch, timed ones once per
+    # block of intervals: either way a path's bytes must not depend on its
+    # batch, one path that leaves the log window included
+    model = BATCH_MODELS[kind]
+    T, h = 3.0, 2.0**-6
+    extra = tuple(b for b in model.pwc_breakpoints() if 0 < b < T)
+    paths = [sample_driving_path(model.marks, T, h, seed, extra_times=extra) for seed in range(30)]
+    paths[11] = with_increment(paths[11], 40, 5e3)
+    at = uniform_nodes(T, h)[::7]
+
+    def summaries(batch):
+        return [pickle.dumps(s) for s in _summarise(model, [0.8, 1.3], batch, at=at, trapezoid=True)]
+
+    alone = [summaries([path])[0] for path in paths]
+    assert [k for k, b in enumerate(alone) if pickle.loads(b) is None] == [11]
+    for size in (4, 7, 23, len(paths)):
+        batched = [b for k in range(0, len(paths), size) for b in summaries(paths[k : k + size])]
+        assert batched == alone, size
+    for path, summary in zip(paths, alone):
+        assert_summary_of(pickle.loads(summary), simulate_system(model, [0.8, 1.3], path), at)
+
+
 def test_nan_increment_in_one_path_of_a_batch_is_hard_error():
     model = constant_model(2, a=1.0, b=[[1.0, 0.2], [0.1, 1.0]], sigma=0.5)
     paths = [sample_driving_path(model.marks, 1.0, 0.25, seed) for seed in range(5)]
@@ -634,12 +691,17 @@ def test_libm_fallback_gives_the_same_bytes(monkeypatch):
     assert batched_estimates() == fast
 
 
+def backwards(values):
+    """A view equal to ``values`` that lies backwards in memory, the input layout of ``_libm``."""
+    return values.ravel()[::-1].copy()[::-1].reshape(values.shape)
+
+
 def test_libm_self_check_picks_the_fallback_when_the_fast_form_differs(monkeypatch):
     fast = integrate._reversed
 
-    def one_ulp_off(ufunc, values):
-        out = fast(ufunc, values).copy()
-        out[1234] = np.nextafter(out[1234], np.inf)  # one probe value
+    def one_ulp_off(ufunc, values, out):
+        fast(ufunc, values, out)
+        out.reshape(-1)[1234] = np.nextafter(out.reshape(-1)[1234], np.inf)  # one probe value
         return out
 
     monkeypatch.setattr(integrate, "_reversed", one_ulp_off)
@@ -647,7 +709,8 @@ def test_libm_self_check_picks_the_fallback_when_the_fast_form_differs(monkeypat
     try:
         assert not integrate._reversal_is_libm(np.exp)
         values = np.random.default_rng(4).uniform(-50.0, 50.0, (2, 3000))
-        assert np.array_equal(_libm(np.exp, values), by_math(math.exp, values))
+        got = _libm(np.exp, backwards(values), np.empty(values.shape))
+        assert np.array_equal(got, by_math(math.exp, values))
     finally:
         integrate._reversal_is_libm.cache_clear()
 
@@ -657,11 +720,19 @@ def test_libm_self_check_picks_the_fallback_when_the_fast_form_differs(monkeypat
 def test_libm_keeps_shape_and_order(monkeypatch, fast, P):
     monkeypatch.setattr(integrate, "_reversal_is_libm", lambda ufunc: fast)
     values = np.random.default_rng(P).uniform(-50.0, 50.0, (3, P))
-    want = by_math(math.exp, values)
-    for arg in (values, values.T):  # a strided view too
-        got = _libm(np.exp, arg)
-        assert got.shape == arg.shape
-        assert np.array_equal(got, want if arg is values else want.T)
+    for want_of in (values, values.T):  # a transposed shape too
+        out = np.empty(want_of.shape)
+        got = _libm(np.exp, backwards(want_of), out)
+        assert got is out
+        assert np.array_equal(got, by_math(math.exp, want_of))
+
+
+def test_libm_takes_a_single_value_through_math():
+    # one value counts as contiguous, so numpy would run its SIMD exp on it
+    values = np.random.default_rng(5).uniform(-5.0, 5.0, 20000)
+    want = [math.exp(v) for v in values.tolist()]
+    out = np.empty((1, 1))
+    assert [_libm(np.exp, backwards(np.array([[v]])), out)[0, 0] for v in values] == want
 
 
 def test_batched_results_do_not_depend_on_the_simd_targets():

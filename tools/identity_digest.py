@@ -27,6 +27,7 @@ import io
 import itertools
 import json
 import pickle
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +45,26 @@ CRITERION_12_MODEL = {
     "marks": {"weights": [1.0]},
     "gamma": [[{"type": "const", "c": 0.5}]],
 }
+
+
+# the ``<path>:<line>: `` that ``warnings`` prints before a warning's category
+WARNING_AT = re.compile(r"^(.+?\.py):\d+: (?=\w+Warning: )", re.MULTILINE)
+
+
+def module_of(filename: str) -> str:
+    """The dotted name of the module in ``filename``, found under ``sys.path``."""
+    path = Path(filename).resolve()
+    roots = sorted({Path(p or ".").resolve() for p in sys.path}, key=lambda p: -len(p.parts))
+    for root in roots:
+        if path.is_relative_to(root):
+            return ".".join(path.relative_to(root).with_suffix("").parts)
+    return path.stem
+
+
+def without_warning_locations(text: str) -> str:
+    """``text`` with each warning's ``<path>:<line>:`` prefix replaced by its module
+    name, so that a moved source line or another checkout digests the same."""
+    return WARNING_AT.sub(lambda m: f"{module_of(m[1])}: ", text)
 
 
 def emit(name: str, payload: bytes) -> None:
@@ -256,7 +277,8 @@ def cli_cases(workdir: Path):
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 code = cli.main(args + ["--out", str(out)])
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-            return code, sink.getvalue().replace(str(workdir), "<workdir>"), files
+            text = without_warning_locations(sink.getvalue())
+            return code, text.replace(str(workdir), "<workdir>"), files
 
         yield f"cli/{k}_{'_'.join(args[:2]) if args[0] == 'analyze' else args[0]}", outcome(run)
 
