@@ -422,9 +422,9 @@ BATCH_MODELS = {
 
 @pytest.mark.parametrize("kind", sorted(BATCH_MODELS))
 def test_a_path_gets_the_same_bytes_in_batches_of_any_size(kind):
-    # constant coefficients are tabulated once per batch, timed ones once per
-    # block of intervals: either way a path's bytes must not depend on its
-    # batch, one path that leaves the log window included
+    # a constant model is tabulated at one time per block, a timed one at
+    # every node: either way a path's bytes must not depend on its batch,
+    # one path that leaves the log window included
     model = BATCH_MODELS[kind]
     T, h = 3.0, 2.0**-6
     extra = tuple(b for b in model.pwc_breakpoints() if 0 < b < T)
