@@ -11,7 +11,7 @@ scalar self-regulating solution go through the explicit closed form in log
 space (exact up to quadrature, safe on long horizons); estimators of the full
 system go through the log-Euler integrator.  Every estimator's paths come
 from :func:`_per_path`, which hands them to :func:`_log_euler` or
-:func:`_closed_form` runs.
+:func:`_closed_form` runs; both reduce each batch of paths at once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .closedform import _log_solution, _logistic_log_parts
+from .closedform import _logistic_log
 from .coefficients import Const
 from .conditions import compute_regime_report
 from .errors import ConfigurationError, PrerequisiteError
@@ -108,8 +108,10 @@ def _kept(values):
     return kept, len(values) - len(kept)
 
 
-# Closed-form runs go path by path: a wider batch only holds more paths in memory.
-_CLOSED_FORM_PATHS = 64
+# Nodes per closed-form batch: its (paths, nodes) arrays stay at 32 KB.  Once a
+# free leaves 64 KB in one piece, glibc may trim its heap, and the next batch
+# faults the pages in again: 34 faults a path at 16 paths of T=20, 0.4 at 3.
+_CLOSED_FORM_NODES = 4096
 
 
 def _per_path(model: ModelSpec, T: float, h: float, n_paths: int, seed: int, runs, offset=0):
@@ -153,17 +155,21 @@ def _log_euler(model: ModelSpec, x0, species, reduce, at=(), trapezoid=False):
 
 
 def _closed_form(model: ModelSpec, i: int, starts, reduce):
-    """A run of ``reduce(grid, ln Y from starts[0], ...)`` for species ``i``'s
-    explicit solution, whose start-free part is computed once per path."""
+    """A run of ``reduce(paths, ln Y from starts[0], ...)``, one value per path, with
+    each batch's ``ln Y`` of species ``i`` from :func:`~lvjumps.closedform._logistic_log`."""
     for x0_i in starts:
         check_species(model, i, x0_i)
 
     def run(batch):
-        for path in batch:
-            parts = _logistic_log_parts(model, i, path)
-            yield reduce(parts[0], *(_log_solution(parts, x0_i) for x0_i in starts))
+        return reduce(batch, *_logistic_log(model, i, starts, batch))
 
-    return (lambda nodes: min(_CLOSED_FORM_PATHS, _batch_size(1, nodes))), run
+    return (lambda nodes: max(1, _CLOSED_FORM_NODES // nodes)), run
+
+
+def _post_index(paths, times):
+    """Index of each path's post-jump values at the node ``times`` in a ``_logistic_log`` array."""
+    nodes = [path.node_times.searchsorted(times) for path in paths]
+    return np.arange(len(paths))[:, None], np.array(nodes)
 
 
 def estimate_moment(
@@ -389,8 +395,8 @@ def inverse_moment_check(
     c1 = _require_positive_margin(model, i)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
 
-    def inverse(grid, log_y):
-        return np.exp(-log_y[grid.slots_at(checkpoints)])
+    def inverse(paths, log_y):
+        return list(np.exp(-log_y[1][_post_index(paths, checkpoints)]))
 
     (samples,) = _per_path(model, T, h, n_paths, seed, [_closed_form(model, i, (x0_i,), inverse)])
     mc = _series_from_samples(checkpoints, samples, 0)
@@ -444,12 +450,12 @@ def coupling_contraction(
     c1 = _require_positive_margin(model, i)
     checkpoints = default_checkpoints(T, h, checkpoint_count)
 
-    def differences(grid, lx, ly):
+    def differences(paths, lx, ly):
         inv_diff_all = np.exp(-lx) - np.exp(-ly)
-        sign_ok = np.all(inv_diff_all * np.sign(expected) >= 0.0)
-        slots = grid.slots_at(checkpoints)
-        half = np.sqrt(np.abs(np.exp(lx[slots]) - np.exp(ly[slots])))
-        return int(sign_ok), np.abs(inv_diff_all[slots]), half
+        sign_ok = np.all(inv_diff_all * np.sign(expected) >= 0.0, axis=(0, 2))
+        at = _post_index(paths, checkpoints)
+        half = np.sqrt(np.abs(np.exp(lx[1][at]) - np.exp(ly[1][at])))
+        return zip(sign_ok.tolist(), np.abs(inv_diff_all[1][at]), half)
 
     run = _closed_form(model, i, (x, y), differences)  # checks both start values
     expected = 1.0 / x - 1.0 / y
@@ -480,8 +486,8 @@ def terminal_sample(
 ) -> np.ndarray:
     """Terminal values ``Y_i(T)`` over ``n_paths`` independent paths."""
 
-    def terminal(grid, log_y):
-        return math.exp(float(log_y[-1]))
+    def terminal(paths, log_y):  # libm's exp of each path's value at T
+        return [math.exp(v) for v in log_y[1][_post_index(paths, [T])].ravel().tolist()]
 
     run = _closed_form(model, i, (x0_i,), terminal)
     (values,) = _per_path(model, T, h, n_paths, seed, [run], stream_offset)

@@ -23,7 +23,9 @@ The scalar self-regulating population equation is solved exactly by
 
 with the denominator integral evaluated by trapezoidal quadrature on the
 merged grid.  ``Phi`` and the denominator are carried in log space throughout
-so long horizons cannot overflow.
+so long horizons cannot overflow.  Both are computed for a batch of paths at
+once, on (paths, nodes) arrays padded to the longest path, with each node's
+value before and after its jump; a lone path is a batch of one.
 """
 
 from __future__ import annotations
@@ -96,52 +98,55 @@ def _check_H(H) -> None:
             )
 
 
-def _jump_log_factors(H, path: DrivingPath):
-    """Per-node ln(1+H) contribution (0 off jump nodes) and its cumulatives."""
-    add = np.zeros(path.grid.n_nodes)
-    for idx, tau, k in zip(path.grid.jump_nodes.tolist(), path.jump_times.tolist(),
-                           path.jump_marks.tolist()):
-        Hval = float(H[k](tau))
-        if Hval <= -1.0:
-            raise DomainError(f"jump coefficient at t={tau:g} equals {Hval:g} <= -1")
-        add[idx] = math.log1p(Hval)
-    incl = np.cumsum(add)
-    before = incl - add
-    return before, incl
-
-
-def _log_phi(F_like, G, H, marks, path: DrivingPath) -> np.ndarray:
-    """ln Phi on the slots of the path's grid.
-
-    At node ``l`` it is the deterministic plus Brownian exponent plus the jump
-    sum, which includes an event at the node itself on the post-jump slot only.
-    """
+def _log_phi(F_like, G, H, marks, paths):
+    """The paths' node times, a C-contiguous (P, L_max) array padded with T (the
+    increments with 0), and ln Phi at them, a (2, P, L_max) array: ``[0]`` before
+    each node's jump, ``[1]`` after it (equal off jump nodes; a padded node
+    repeats its path's last value).  A growth override needs a lone path."""
     _check_H(H)
-    grid = path.grid
-    times = grid.times
+    times = np.full((len(paths), max(len(p.node_times) for p in paths)), paths[0].T)
+    increments = np.zeros((len(paths), times.shape[1] - 1))
+    for row, path in enumerate(paths):
+        times[row, :len(path.node_times)] = path.node_times
+        increments[row, :len(path.node_increments)] = path.node_increments
     weights = np.asarray(marks.weights, dtype=float)
 
     if isinstance(F_like, PathSeries):
+        grid = paths[0].grid
         if not F_like.grid.same_nodes(grid):
             raise GridMismatchError("growth override must share the path's grid")
         start = F_like.values[grid.interval_start_slots()]
         end = F_like.values[grid.interval_end_slots()]
-        det_F = np.concatenate(
-            ([0.0], np.cumsum(0.5 * np.diff(times) * (start + end)))
-        )
+        det_F = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(times[0]) * (start + end))))
     else:
         det_F = np.asarray(F_like.antiderivative(times), dtype=float)
 
-    det = det_F - 0.5 * np.asarray(G.square_antiderivative(times), dtype=float)
+    cont = det_F - 0.5 * np.asarray(G.square_antiderivative(times), dtype=float)
     for k in range(marks.size):
-        det = det - weights[k] * np.asarray(H[k].antiderivative(times), dtype=float)
+        cont = cont - weights[k] * np.asarray(H[k].antiderivative(times), dtype=float)
+    cont[:, 1:] += np.cumsum(np.asarray(G(times[:, :-1]), dtype=float) * increments, axis=1)
 
-    g_left = np.asarray(G(times[:-1]), dtype=float)
-    mart = np.concatenate(([0.0], np.cumsum(g_left * path.node_increments)))
+    # ln(1+H) of each jump at its node, from one H[k] call per mark
+    taus = np.concatenate([p.jump_times for p in paths])
+    labels = np.concatenate([p.jump_marks for p in paths])
+    factors = np.empty(len(taus))
+    for k in set(labels.tolist()):
+        factors[labels == k] = H[k](taus[labels == k])
+    if np.any(factors <= -1.0):
+        k = np.argmax(factors <= -1.0)  # the first in path order
+        raise DomainError(f"jump coefficient at t={taus[k]:g} equals {factors[k]:g} <= -1")
+    rows = np.repeat(np.arange(len(paths)), [p.jump_count for p in paths])
+    add = np.zeros(times.shape)
+    add[rows, np.concatenate([p.grid.jump_nodes for p in paths])] = [
+        math.log1p(v) for v in factors.tolist()]
+    incl = np.cumsum(add, axis=1)
+    return times, np.stack((cont + (incl - add), cont + incl))
 
-    cont = det + mart
-    before, incl = _jump_log_factors(H, path)
-    return grid.on_slots(cont + before, (cont + incl)[grid.is_jump])
+
+def _on_slots(path: DrivingPath, at_nodes) -> np.ndarray:
+    """A lone path's slot values from its (2, 1, L) before/after node values."""
+    grid = path.grid
+    return grid.on_slots(at_nodes[0, 0], at_nodes[1, 0][grid.is_jump])
 
 
 def fundamental_solution(sde: LinearJumpSDE, path: DrivingPath) -> PathSeries:
@@ -150,7 +155,8 @@ def fundamental_solution(sde: LinearJumpSDE, path: DrivingPath) -> PathSeries:
     Raises:
         DomainError: if any multiplicative jump coefficient reaches -1.
     """
-    return PathSeries(path.grid, np.exp(_log_phi(sde.F, sde.G, sde.H, sde.marks, path)))
+    _, log_phi = _log_phi(sde.F, sde.G, sde.H, sde.marks, [path])
+    return PathSeries(path.grid, np.exp(_on_slots(path, log_phi)))
 
 
 def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
@@ -163,7 +169,7 @@ def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
     ``- sum_k h_k w_k`` contribution, which is what is integrated here.
     """
     grid = path.grid
-    log_phi = _log_phi(sde.F, sde.G, sde.H, sde.marks, path)
+    log_phi = _on_slots(path, _log_phi(sde.F, sde.G, sde.H, sde.marks, [path])[1])
     phi = np.exp(log_phi)
     phi_inv = np.exp(-log_phi)
 
@@ -211,31 +217,26 @@ def voc_solve(sde: LinearJumpSDE, y0: float, path: DrivingPath) -> PathSeries:
     return PathSeries(grid, phi * (y0 + inner))
 
 
-def _logistic_log_parts(model: ModelSpec, i: int, path: DrivingPath, growth_override=None):
-    """``(grid, ln Phi, ln inc)``, the explicit solution's start-free part;
-    ``ln inc`` is the log of each interval's trapezoid of ``Phi b``."""
-    grid = path.grid
+def _logistic_log(model: ModelSpec, i: int, starts, paths, growth_override=None):
+    """``ln Y`` of species ``i`` on ``paths`` from each of ``starts``, laid out as
+    :func:`_log_phi`'s ``ln Phi``; the start-free part is computed once, and
+    ``int Phi b`` is a sum of trapezoids on the node intervals."""
     F = growth_override if growth_override is not None else model.a[i]
-    log_phi = _log_phi(F, model.sigma[i], model.gamma[i], model.marks, path)
-
-    times = grid.times
+    times, log_phi = _log_phi(F, model.sigma[i], model.gamma[i], model.marks, paths)
     b = model.B[i][i]
-    log_b_s = np.log(np.asarray(b(times[:-1]), dtype=float))
-    log_b_e = np.log(np.asarray(b.value_left(times[1:]), dtype=float))
-    start_slots = grid.interval_start_slots()
-    end_slots = grid.interval_end_slots()
-    with np.errstate(divide="ignore"):
-        log_inc = np.log(0.5 * np.diff(times)) + np.logaddexp(
-            log_phi[start_slots] + log_b_s, log_phi[end_slots] + log_b_e
+    log_b_s = np.log(np.asarray(b(times[:, :-1]), dtype=float))
+    log_b_e = np.log(np.asarray(b.value_left(times[:, 1:]), dtype=float))
+    with np.errstate(divide="ignore"):  # a padded interval has length 0
+        log_inc = np.log(0.5 * np.diff(times, axis=1)) + np.logaddexp(
+            log_phi[1, :, :-1] + log_b_s, log_phi[0, :, 1:] + log_b_e
         )
-    return grid, log_phi, log_inc
-
-
-def _log_solution(parts, x0_i: float) -> np.ndarray:
-    """``ln Y`` on the slots from :func:`_logistic_log_parts` and the start ``x0_i``."""
-    grid, log_phi, log_inc = parts
-    log_den = np.logaddexp.accumulate(np.concatenate(([-math.log(x0_i)], log_inc)))
-    return log_phi - grid.on_slots(log_den)
+    log_ys = []
+    for x0_i in starts:
+        log_den = np.empty(times.shape)
+        log_den[:, 0] = -math.log(x0_i)
+        log_den[:, 1:] = log_inc
+        log_ys.append(log_phi - np.logaddexp.accumulate(log_den, axis=1))
+    return log_ys
 
 
 def explicit_logistic_log(model: ModelSpec, i: int, x0_i: float, path: DrivingPath,
@@ -245,8 +246,8 @@ def explicit_logistic_log(model: ModelSpec, i: int, x0_i: float, path: DrivingPa
     Safe for long horizons in both the growing and the dying regime.
     """
     check_species(model, i, x0_i)
-    parts = _logistic_log_parts(model, i, path, growth_override)
-    return PathSeries(parts[0], _log_solution(parts, x0_i))
+    (log_y,) = _logistic_log(model, i, (x0_i,), [path], growth_override)
+    return PathSeries(path.grid, _on_slots(path, log_y))
 
 
 def explicit_logistic(model: ModelSpec, i: int, x0_i: float, path: DrivingPath,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,8 +58,12 @@ KIND_LABELS = ("grid", "left", "post")
 FLOAT_FORMAT = "%.17g"
 
 
+@lru_cache(maxsize=4)
 def _uniform_times(T: float, M: int) -> np.ndarray:
-    return np.linspace(0.0, T, M + 1)
+    """The uniform nodes of M cells on [0, T], read-only: every path of a run shares them."""
+    times = np.linspace(0.0, T, M + 1)
+    times.flags.writeable = False
+    return times
 
 
 def _steps_of(T: float, h: float) -> int:
@@ -124,7 +128,7 @@ class DrivingPath:
         return len(self.jump_times)
 
     def uniform_times(self) -> np.ndarray:
-        return _uniform_times(self.T, self.steps)
+        return _uniform_times(self.T, self.steps).copy()
 
     def _uniform_node_indices(self) -> np.ndarray:
         idx = np.searchsorted(self.node_times, self.uniform_times())
@@ -171,7 +175,7 @@ def sample_driving_path(
     M = _steps_of(T, h)
     if seed < 0:
         raise ConfigurationError("seed must be a non-negative integer")
-    extra = np.sort(np.unique(np.asarray(extra_times, dtype=float)))
+    extra = np.unique(np.asarray(extra_times, dtype=float)) if len(extra_times) else np.empty(0)
     if len(extra) and (extra[0] <= 0 or extra[-1] >= T):
         raise ConfigurationError("extra nodes must lie strictly inside (0, T)")
     rng = np.random.default_rng(seed)
@@ -195,23 +199,30 @@ def sample_driving_path(
         jump_times = np.empty(0, dtype=float)
         jump_marks = np.empty(0, dtype=np.int64)
 
-    node_times = np.unique(
-        np.concatenate((_uniform_times(T, M), jump_times, extra))
-    )
+    # a gap that rounds away in the running sum leaves two equal arrivals
+    if len(jump_times) and not (jump_times[0] > 0 and (jump_times[1:] > jump_times[:-1]).all()):
+        raise ConfigurationError("jump times must be strictly increasing in (0, T]")
+    nodes = _merge(_uniform_times(T, M), extra)[0] if len(extra) else _uniform_times(T, M)
+    node_times, jump_nodes = _merge(nodes, jump_times)
     deltas = np.diff(node_times)
     node_increments = rng.standard_normal(len(deltas)) * np.sqrt(deltas)
 
-    return DrivingPath(
-        T=float(T),
-        h=float(h),
-        seed=int(seed),
-        mark_count=marks.size,
-        node_times=node_times,
-        node_increments=node_increments,
-        jump_times=jump_times,
-        jump_marks=jump_marks,
-        extra_times=extra,
+    # built without DrivingPath's checks, which the merge guarantees
+    path = object.__new__(DrivingPath)
+    path.__dict__.update(
+        T=float(T), h=float(h), seed=int(seed), mark_count=marks.size, node_times=node_times,
+        node_increments=node_increments, jump_times=jump_times, jump_marks=jump_marks,
+        extra_times=extra, rng_algorithm_id=RNG_ALGORITHM, _steps=M, _jump_nodes=jump_nodes,
     )
+    return path
+
+
+def _merge(nodes: np.ndarray, times: np.ndarray):
+    """``np.unique`` of the sorted ``nodes`` and ``times``, and the index of each time in it."""
+    at = np.searchsorted(nodes, times)
+    merged = np.concatenate((nodes, times[nodes[np.minimum(at, len(nodes) - 1)] != times]))
+    merged.sort()
+    return merged, np.searchsorted(merged, times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,11 +330,12 @@ class MergedGrid:
 def merge_grid(path: DrivingPath) -> MergedGrid:
     """Build the slot structure for a path (deduplicated, sorted nodes)."""
     times = path.node_times
-    L = len(times)
-    jump_nodes = np.searchsorted(times, path.jump_times)
-    if not np.array_equal(times[jump_nodes], path.jump_times):
-        raise GridMismatchError("jump times missing from path nodes")
-    is_jump = np.zeros(L, dtype=bool)
+    jump_nodes = getattr(path, "_jump_nodes", None)  # known to sample_driving_path
+    if jump_nodes is None:
+        jump_nodes = np.searchsorted(times, path.jump_times)
+        if not np.array_equal(times[jump_nodes], path.jump_times):
+            raise GridMismatchError("jump times missing from path nodes")
+    is_jump = np.zeros(len(times), dtype=bool)
     is_jump[jump_nodes] = True
     return MergedGrid(times=times, is_jump=is_jump, jump_nodes=jump_nodes)
 

@@ -362,8 +362,65 @@ def test_batch_size_never_changes_an_estimate(monkeypatch):
             assert pickle.dumps(got) == pickle.dumps(want), (size, type(got).__name__)
 
 
+def test_closed_form_batch_width_never_changes_an_estimate(monkeypatch):
+    # closed-form batches pad their paths to the longest; the sinusoidal and
+    # piecewise-constant rates put extra nodes in the grid, and the second
+    # model has no marks, so no path of it jumps
+    from lvjumps import Const, ModelSpec, PiecewiseConst, Sinusoid
+
+    with_marks = ModelSpec(
+        n=1, a=(Sinusoid(2.5, 0.3, 2.0, 0.4),), B=((PiecewiseConst((0.7, 1.4), (1.0, 0.6, 1.5)),),),
+        sigma=(Sinusoid(0.5, 0.2, 3.0),),
+        gamma=((PiecewiseConst((1.1,), (0.3, -0.4)), Sinusoid(0.2, 0.3, 4.0)),),
+        marks=MarkSpace((0.8, 0.5)),
+    )
+    without_marks = ModelSpec(
+        n=1, a=(PiecewiseConst((0.9,), (1.5, 2.2)),), B=((Sinusoid(1.0, 0.4, 5.0),),),
+        sigma=(Const(0.8),), gamma=((),), marks=MarkSpace(()),
+    )
+    T, h, n_paths, seed = 2.0, 2.0**-6, 30, 11
+    nodes = round(T / h) + 1
+    for model in (with_marks, without_marks):
+        def run():
+            return pickle.dumps((
+                inverse_moment_check(model, 0, 0.8, T, h, n_paths, seed, checkpoint_count=7),
+                coupling_contraction(model, 0, 0.5, 2.0, T, h, n_paths, seed, checkpoint_count=7),
+                terminal_sample(model, 0, 0.8, T, h, n_paths, seed, stream_offset=3),
+            ))
+
+        reference = run()
+        for width in (1, 4, 7, 16, 23):  # 23: a short last batch of 7
+            monkeypatch.setattr(analysis, "_CLOSED_FORM_NODES", width * nodes)
+            assert run() == reference, (model.marks.size, width)
+        monkeypatch.undo()
+
+
+def test_closed_form_reads_the_post_jump_value_at_a_jump_node(monkeypatch, permanent_model):
+    # every path jumps exactly at T, the one checkpoint: the estimators read
+    # the cadlag value there, the last slot of the lone-path series
+    class Generator:
+        def exponential(self, scale, size):
+            return np.full(size, 2.0)
+
+        def random(self, size):
+            return np.zeros(size)
+
+        def standard_normal(self, size):
+            return np.linspace(-1.0, 1.0, size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
+    path = sample_driving_path(permanent_model.marks, 2.0, 0.25, 0)
+    assert path.jump_times.tolist() == [2.0]
+    log_y = explicit_logistic_log(permanent_model, 0, 0.8, path).values
+    assert log_y[-1] != log_y[-2]
+    inverse = inverse_moment_check(permanent_model, 0, 0.8, 2.0, 0.25, 3, 1, checkpoint_count=1)
+    assert inverse.series.mean.tolist() == [math.exp(-log_y[-1])]
+    terminal = terminal_sample(permanent_model, 0, 0.8, 2.0, 0.25, 3, 1)
+    assert terminal.tolist() == [math.exp(log_y[-1])] * 3
+
+
 ESTIMATORS = {
-    "estimate_moment": lambda m, n_paths, seed: estimate_moment(
+    "estimate_moment":lambda m, n_paths, seed: estimate_moment(
         m, [1.0], 2.0, 2.0, 0.25, n_paths, seed),
     "lyapunov_functional_mc": lambda m, n_paths, seed: lyapunov_functional_mc(
         m, [1.0], 2.0, 0.25, n_paths, seed),

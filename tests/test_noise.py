@@ -8,9 +8,13 @@ import pytest
 from scipy import stats
 
 from lvjumps import (
+    Const,
     DrivingPath,
     MarkSpace,
+    ModelSpec,
+    PiecewiseConst,
     coarsen_path,
+    constant_model,
     load_path,
     merge_grid,
     sample_driving_path,
@@ -18,7 +22,7 @@ from lvjumps import (
 )
 from lvjumps.analysis import default_checkpoints
 from lvjumps.errors import ConfigurationError, GridMismatchError
-from lvjumps.noise import _EXP_BLOCK, KIND_GRID, KIND_LEFT, KIND_POST, derive_path_seed
+from lvjumps.noise import _EXP_BLOCK, KIND_GRID, KIND_LEFT, KIND_POST, _merge, derive_path_seed
 
 
 def test_zero_intensity_never_jumps():
@@ -175,6 +179,101 @@ def test_arrivals_up_to_T_are_drawn_when_the_block_sums_disagree(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
     path = sample_driving_path(MarkSpace((1.0,)), T, T, 0)
     assert path.jump_count == _EXP_BLOCK + 1 and path.jump_times[-1] == T
+
+
+def unique_merge(path):
+    """The path's nodes and jump nodes as ``np.unique`` and a lookup build them."""
+    uniform = np.linspace(0.0, path.T, path.steps + 1)
+    nodes = np.unique(np.concatenate((uniform, path.jump_times, path.extra_times)))
+    return nodes, np.searchsorted(nodes, path.jump_times)
+
+
+def test_sampler_merge_matches_the_unique_merge():
+    # criterion 9, PERMANENT, and a model whose piecewise-constant rates add
+    # extra nodes, one of them on the uniform grid
+    criterion_9 = constant_model(
+        2, a=(1.5, 1.0), b=[[1.0, 0.3], [0.2, 0.8]], sigma=(0.5, 0.4),
+        gamma=((0.3,), (-0.4,)), weights=(1.0,),
+    )
+    permanent = constant_model(1, a=2.0, b=1.0, sigma=1.0, gamma=0.5, weights=(1.0,))
+    pwc = ModelSpec(
+        n=1, a=(PiecewiseConst((0.7, 1.5, 2.3), (1.0, 2.0, 1.5, 2.5)),),
+        B=((Const(1.0),),), sigma=(Const(0.5),),
+        gamma=((PiecewiseConst((1.1,), (0.3, -0.2)),),), marks=MarkSpace((3.0,)),
+    )
+    for model in (criterion_9, permanent, pwc):
+        extra = tuple(b for b in model.pwc_breakpoints() if 0.0 < b < 3.0)
+        for seed in range(200):
+            path = sample_driving_path(model.marks, 3.0, 2.0**-5, derive_path_seed(seed, 0), extra)
+            nodes, jump_nodes = unique_merge(path)
+            assert path.node_times.tobytes() == nodes.tobytes()
+            assert path.grid.jump_nodes.tobytes() == jump_nodes.tobytes()
+            assert np.array_equal(np.flatnonzero(path.grid.is_jump), np.unique(jump_nodes))
+            assert len(path.node_increments) == len(nodes) - 1
+
+
+def test_merge_keeps_one_node_where_a_jump_meets_a_node():
+    uniform = np.linspace(0.0, 1.0, 5)
+    extra = np.asarray([0.3, 0.5, 0.6])  # 0.5 is a uniform node
+    base, at = _merge(uniform, extra)
+    assert base.tolist() == [0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0] and at.tolist() == [2, 3, 4]
+    jumps = np.asarray([0.1, 0.25, 0.6, 0.7, 1.0])  # on a uniform node, an extra node, T
+    nodes, at = _merge(base, jumps)
+    want = np.unique(np.concatenate((uniform, extra, jumps)))
+    assert nodes.tobytes() == want.tobytes()
+    assert at.tolist() == np.searchsorted(want, jumps).tolist() == [1, 2, 5, 6, 8]
+
+
+def scripted_generator(gaps):
+    """A stand-in for ``np.random.default_rng`` whose exponential draws are ``gaps``."""
+
+    class Generator:
+        def exponential(self, scale, size):
+            return np.concatenate((gaps, np.full(size - len(gaps), 10.0)))
+
+        def random(self, size):
+            return np.zeros(size)
+
+        def standard_normal(self, size):
+            return np.ones(size)
+
+    return lambda seed: Generator()
+
+
+def test_sampler_merges_jumps_on_uniform_and_extra_nodes(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", scripted_generator([0.25, 0.05, 0.2]))
+    path = sample_driving_path(MarkSpace((1.0,)), 1.0, 0.25, 0, extra_times=(0.3, 0.6))
+    assert path.jump_times.tolist() == [0.25, 0.3, 0.5]  # on the grid, on an extra node
+    assert path.node_times.tolist() == [0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 1.0]
+    assert path.grid.jump_nodes.tolist() == [1, 2, 3]
+    checked = DrivingPath(
+        T=path.T, h=path.h, seed=path.seed, mark_count=path.mark_count,
+        node_times=path.node_times, node_increments=path.node_increments,
+        jump_times=path.jump_times, jump_marks=path.jump_marks, extra_times=path.extra_times,
+    )
+    assert checked.grid.same_nodes(path.grid) and np.array_equal(
+        checked.grid.jump_nodes, path.grid.jump_nodes)
+
+
+def test_sampler_refuses_jump_times_that_do_not_increase(monkeypatch):
+    # a gap too small to move the running sum leaves two equal arrival times
+    monkeypatch.setattr(np.random, "default_rng", scripted_generator([0.25, 1e-20]))
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        sample_driving_path(MarkSpace((1.0,)), 1.0, 0.25, 0)
+    monkeypatch.setattr(np.random, "default_rng", scripted_generator([0.0]))
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        sample_driving_path(MarkSpace((1.0,)), 1.0, 0.25, 0)
+
+
+def test_driving_path_checks_its_nodes():
+    path = _path_with_jump_at(0.3)
+    fields = dict(
+        T=path.T, h=path.h, seed=0, mark_count=1, node_increments=path.node_increments,
+        jump_times=path.jump_times, jump_marks=path.jump_marks, extra_times=path.extra_times,
+    )
+    for times in ([0.0, 0.5, 0.3, 1.0], [0.0, 0.3, 0.3, 1.0]):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            DrivingPath(node_times=np.asarray(times), **fields)
 
 
 def test_bad_time_grid_rejected():

@@ -16,11 +16,17 @@ Workloads:
   of that name;
 - ``criterion_4``: ``sample_lyapunov_mc`` on the 1-species EXTINCT model
   (a=0.1, b=1, sigma=1, gamma=-0.5 at rate 1), T=400, h=2^-6, 162 paths in
-  two batches, 100 checkpoints.
+  two batches, 100 checkpoints;
+- ``mc_closed_form``: ``coupling_contraction`` on the PERMANENT model (a=2,
+  b=1, sigma=1, gamma=0.5 at rate 1) from x=0.5 and y=2, T=20, h=2^-6,
+  1,000 paths, the call of the benchmark workload of that name;
+- ``criterion_10``: ``terminal_sample`` on the PERMANENT model from 0.5,
+  T=50, h=2^-6, 2,000 paths, one of the two samples of acceptance
+  criterion 10 at a fifth of its size.
 
 Both sides run the same seeds, so a speed difference is the code's alone.
-Allow about 2 s per mc_full_system iteration and 8 s per criterion_4
-iteration on a 2-core x86_64 VM.
+Allow about 2 s per mc_full_system iteration, 8 s per criterion_4 iteration
+and 1-2 s per mc_closed_form or criterion_10 iteration on a 2-core x86_64 VM.
 """
 
 from __future__ import annotations
@@ -55,12 +61,20 @@ def workloads(lv):
         gamma=((0.3,), (-0.4,)), weights=(1.0,),
     )
     extinct = lv.constant_model(1, a=0.1, b=1.0, sigma=1.0, gamma=-0.5, weights=(1.0,))
+    permanent = lv.constant_model(1, a=2.0, b=1.0, sigma=1.0, gamma=0.5, weights=(1.0,))
     return {
         "mc_full_system": lambda seed: lv.lyapunov_functional_mc(
             criterion_9, [1.0, 1.0], 50.0, 2.0**-6, 100, seed),
         "criterion_4": lambda seed: lv.sample_lyapunov_mc(
             extinct, 0, 1.0, 400.0, 2.0**-6, 162, seed, checkpoint_count=100),
+        "mc_closed_form": lambda seed: lv.coupling_contraction(
+            permanent, 0, 0.5, 2.0, 20.0, 2.0**-6, 1000, seed),
+        "criterion_10": lambda seed: lv.analysis.terminal_sample(
+            permanent, 0, 0.5, 50.0, 2.0**-6, 2000, seed),
     }
+
+
+WORKLOADS = ["mc_full_system", "criterion_4", "mc_closed_form", "criterion_10"]
 
 
 def same(a, b) -> bool:
@@ -84,11 +98,11 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument("--workload", action="append", choices=["mc_full_system", "criterion_4"])
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     args = parser.parse_args(argv)
     sides = {"parent": workloads(load(args.parent_src, "lvjumps_parent")),
              "change": workloads(load(args.change_src, "lvjumps_change"))}
-    for name in args.workload or ["mc_full_system", "criterion_4"]:
+    for name in args.workload or WORKLOADS:
         seconds = {"parent": [], "change": []}
         for side in sides.values():  # warm-up: first-use checks and caches
             side[name](1)

@@ -47,8 +47,9 @@ CRITERION_12_MODEL = {
 }
 
 
-# the ``<path>:<line>: `` that ``warnings`` prints before a warning's category
-WARNING_AT = re.compile(r"^(.+?\.py):\d+: (?=\w+Warning: )", re.MULTILINE)
+# the ``<path>:<line>: `` that ``warnings`` prints before a warning's category,
+# then the warning, then the ``  <source text>`` line it echoes under it
+WARNING_AT = re.compile(r"^(.+?\.py):\d+: (\w+Warning: .*\n)(  \S.*\n)?", re.MULTILINE)
 
 
 def module_of(filename: str) -> str:
@@ -63,8 +64,11 @@ def module_of(filename: str) -> str:
 
 def without_warning_locations(text: str) -> str:
     """``text`` with each warning's ``<path>:<line>:`` prefix replaced by its module
-    name, so that a moved source line or another checkout digests the same."""
-    return WARNING_AT.sub(lambda m: f"{module_of(m[1])}: ", text)
+    name and the source line echoed under it by a fixed token, so that a moved or
+    rewritten source line, or another checkout, digests the same."""
+    return WARNING_AT.sub(
+        lambda m: f"{module_of(m[1])}: {m[2]}" + ("  <source line>\n" if m[3] else ""), text
+    )
 
 
 def emit(name: str, payload: bytes) -> None:
